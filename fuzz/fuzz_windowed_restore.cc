@@ -12,11 +12,8 @@
 
 #include "common/span.h"
 #include "io/bytes.h"
+#include "io/sketch_kinds.h"
 #include "io/windowed_snapshot.h"
-#include "sketch/count_min_sketch.h"
-#include "sketch/count_sketch.h"
-#include "sketch/misra_gries.h"
-#include "sketch/space_saving.h"
 
 namespace {
 
@@ -37,18 +34,20 @@ void RestoreAndExercise(opthash::Span<const uint8_t> payload) {
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  using opthash::io::SectionType;
   const opthash::Span<const uint8_t> payload(data, size);
 
   auto inner = opthash::io::PeekWindowedInnerType(payload);
   if (inner.ok()) (void)opthash::io::SectionTypeName(*inner);
 
-  // Dispatch like the restore path — and also deliberately WRONG, the
-  // cross-kind load an operator can trigger with a mislabelled file;
-  // each deserializer owns rejecting foreign inner types.
-  RestoreAndExercise<opthash::sketch::CountMinSketch>(payload);
-  RestoreAndExercise<opthash::sketch::CountSketch>(payload);
-  RestoreAndExercise<opthash::sketch::MisraGries>(payload);
-  RestoreAndExercise<opthash::sketch::SpaceSaving>(payload);
+  // Every windowable row of the sketch-kind table: the restore path's
+  // kind — and also deliberately WRONG ones, the cross-kind load an
+  // operator can trigger with a mislabelled file; each deserializer owns
+  // rejecting foreign inner types.
+  opthash::io::ForEachSketchKind([&](auto kind) {
+    using Kind = decltype(kind);
+    if constexpr (Kind::kInfo.windowable) {
+      RestoreAndExercise<typename Kind::Sketch>(payload);
+    }
+  });
   return 0;
 }

@@ -75,6 +75,22 @@ def frame_seeds():
         write("decode_frame", name, payload)
 
 
+def windowed_payload(container):
+    """The raw kWindowedSketch SECTION payload of a checkpoint (what the
+    windowed-restore corpus holds), sliced out of the container per the
+    docs/FORMATS.md table layout (entry: u32 type, u32 flags, u64 offset,
+    u64 length, u32 crc, u32 pad)."""
+    count = struct.unpack_from("<I", container, 0x0C)[0]
+    for i in range(count):
+        base = 0x20 + 32 * i
+        stype = struct.unpack_from("<I", container, base)[0]
+        offset = struct.unpack_from("<Q", container, base + 8)[0]
+        length = struct.unpack_from("<Q", container, base + 16)[0]
+        if stype == 7:  # kWindowedSketch
+            return container[offset:offset + length]
+    sys.exit("no kWindowedSketch section in the generated checkpoint")
+
+
 def snapshot_seeds(cli):
     with tempfile.TemporaryDirectory() as tmp:
         trace = os.path.join(tmp, "trace.csv")
@@ -84,19 +100,22 @@ def snapshot_seeds(cli):
                               (1, "d")):
                 fh.write("%d,q%s\n" % (key, text))
 
-        def snap(name, *extra):
+        def snap(name, sketch, *extra):
             out = os.path.join(tmp, name + ".bin")
             subprocess.run(
                 [cli, "snapshot", "--trace", trace, "--out", out,
-                 "--sketch", "cms", "--width", "16", "--depth", "2",
+                 "--sketch", sketch, "--width", "16", "--depth", "2",
                  *extra],
                 check=True, stdout=subprocess.DEVNULL)
             with open(out, "rb") as fh:
                 return fh.read()
 
-        plain = snap("plain")
-        windowed = snap("windowed", "--windows", "2", "--window", "3",
+        plain = snap("plain", "cms")
+        windowed = snap("windowed", "cms", "--windows", "2", "--window", "3",
                         "--decay", "0.5")
+        windowed_lcms = snap("windowed_lcms", "lcms", "--buckets", "16",
+                             "--heavy", "1", "--windows", "2", "--window",
+                             "3")
 
     write("snapshot_parse", "cms_checkpoint", plain)
     write("snapshot_parse", "windowed_cms_checkpoint", windowed)
@@ -106,22 +125,10 @@ def snapshot_seeds(cli):
     write("snapshot_parse", "hostile_truncated", plain[:40])
     write("snapshot_parse", "hostile_bad_magic", b"NOTSNAPS" + plain[8:])
 
-    # The windowed-restore corpus holds raw kWindowedSketch SECTION
-    # payloads: slice the section out of the container per the
-    # docs/FORMATS.md table layout (entry: u32 type, u32 flags,
-    # u64 offset, u64 length, u32 crc, u32 pad).
-    count = struct.unpack_from("<I", windowed, 0x0C)[0]
-    payload = None
-    for i in range(count):
-        base = 0x20 + 32 * i
-        stype = struct.unpack_from("<I", windowed, base)[0]
-        offset = struct.unpack_from("<Q", windowed, base + 8)[0]
-        length = struct.unpack_from("<Q", windowed, base + 16)[0]
-        if stype == 7:  # kWindowedSketch
-            payload = windowed[offset:offset + length]
-    if payload is None:
-        sys.exit("no kWindowedSketch section in the generated checkpoint")
+    payload = windowed_payload(windowed)
     write("windowed_restore", "windowed_cms_midwindow", payload)
+    write("windowed_restore", "windowed_lcms_midwindow",
+          windowed_payload(windowed_lcms))
     write("windowed_restore", "hostile_truncated_ring", payload[:21])
     bad_version = bytearray(payload)
     bad_version[0] = 9

@@ -18,8 +18,10 @@ Result<std::vector<SectionType>> ListSnapshotSections(
 }
 
 bool MmapServingSupported(SectionType type) {
-  return type == SectionType::kCountMinSketch ||
-         type == SectionType::kOptHashEstimator;
+  if (type == SectionType::kOptHashEstimator) return true;
+  return VisitSketchKind(type, [](auto kind) {
+           return decltype(kind)::kInfo.mmap_view;
+         }).value_or(false);
 }
 
 namespace {

@@ -8,55 +8,22 @@
 #include "common/status.h"
 #include "hashing/hash_functions.h"
 #include "io/bytes.h"
+#include "io/sketch_kinds.h"
 #include "io/snapshot.h"
-#include "sketch/ams_sketch.h"
-#include "sketch/count_min_sketch.h"
-#include "sketch/count_sketch.h"
 #include "sketch/kernels/kernels.h"
-#include "sketch/learned_count_min.h"
-#include "sketch/misra_gries.h"
-#include "sketch/space_saving.h"
 
 namespace opthash::io {
-
-/// Maps each sketch type to its stable on-disk section id (docs/FORMATS.md).
-template <typename Sketch>
-struct SectionTypeOf;
-template <>
-struct SectionTypeOf<sketch::CountMinSketch> {
-  static constexpr SectionType value = SectionType::kCountMinSketch;
-};
-template <>
-struct SectionTypeOf<sketch::CountSketch> {
-  static constexpr SectionType value = SectionType::kCountSketch;
-};
-template <>
-struct SectionTypeOf<sketch::AmsSketch> {
-  static constexpr SectionType value = SectionType::kAmsSketch;
-};
-template <>
-struct SectionTypeOf<sketch::LearnedCountMinSketch> {
-  static constexpr SectionType value = SectionType::kLearnedCountMin;
-};
-template <>
-struct SectionTypeOf<sketch::MisraGries> {
-  static constexpr SectionType value = SectionType::kMisraGries;
-};
-template <>
-struct SectionTypeOf<sketch::SpaceSaving> {
-  static constexpr SectionType value = SectionType::kSpaceSaving;
-};
 
 /// Checkpoints one sketch as a single-section snapshot container — the
 /// mid-stream durability primitive: serialize, fsync-free atomic-enough
 /// write, resume later with LoadSketchSnapshot and keep ingesting.
-/// Works for all six sketch types.
+/// Works for every kind in the sketch-kind table (io/sketch_kinds.h).
 template <typename Sketch>
 Status SaveSketchSnapshot(const std::string& path, const Sketch& sketch) {
   ByteWriter payload;
   sketch.Serialize(payload);
   SnapshotWriter writer;
-  writer.AddSection(SectionTypeOf<Sketch>::value, payload.TakeBytes());
+  writer.AddSection(kSketchKindOf<Sketch>.section, payload.TakeBytes());
   return writer.WriteToFile(path);
 }
 
@@ -68,11 +35,11 @@ Result<Sketch> LoadSketchSnapshot(const std::string& path) {
   auto reader = SnapshotReader::Open(path);
   if (!reader.ok()) return reader.status();
   const SnapshotSection* section =
-      reader.value().view().Find(SectionTypeOf<Sketch>::value);
+      reader.value().view().Find(kSketchKindOf<Sketch>.section);
   if (section == nullptr) {
     return Status::InvalidArgument(
         path + " holds no " +
-        SectionTypeName(SectionTypeOf<Sketch>::value) + " section");
+        SectionTypeName(kSketchKindOf<Sketch>.section) + " section");
   }
   ByteReader in(section->payload);
   auto sketch = Sketch::Deserialize(in);
@@ -87,9 +54,10 @@ Result<std::vector<SectionType>> ListSnapshotSections(
     const std::string& path);
 
 /// True when the section type has a zero-copy mapped serving view
-/// (`restore --mmap`): count-min checkpoints (MappedCountMinView) and
-/// model-bundle estimator sections (MappedEstimatorView). Every other
-/// sketch kind must be deserialized fully — callers that were asked for
+/// (`restore --mmap`): sketch kinds with the table's mmap_view column
+/// (count-min: MappedCountMinView) and model-bundle estimator sections
+/// (MappedEstimatorView). Every other sketch kind must be deserialized
+/// fully — callers that were asked for
 /// mmap should say so explicitly and report the mode they actually used
 /// instead of silently downgrading.
 bool MmapServingSupported(SectionType type);

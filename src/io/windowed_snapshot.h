@@ -16,7 +16,7 @@ namespace opthash::io {
 
 /// Byte layout of the kWindowedSketch section payload (docs/FORMATS.md):
 ///   u8  payload version (currently 1)
-///   u32 inner section type (the sub-sketch kind, SectionTypeOf<Sketch>)
+///   u32 inner section type (the sub-sketch kind: kSketchKindOf<S>.section)
 ///   u32 number of windows W
 ///   u32 head slot index
 ///   u64 window_items (0 = tick-only advance)
@@ -43,7 +43,7 @@ template <typename Sketch>
 void SerializeWindowedSketch(const sketch::WindowedSketch<Sketch>& windowed,
                              ByteWriter& out) {
   out.WriteU8(kWindowedSketchPayloadVersion);
-  out.WriteU32(static_cast<uint32_t>(SectionTypeOf<Sketch>::value));
+  out.WriteU32(static_cast<uint32_t>(kSketchKindOf<Sketch>.section));
   out.WriteU32(static_cast<uint32_t>(windowed.num_windows()));
   out.WriteU32(static_cast<uint32_t>(windowed.head()));
   out.WriteU64(windowed.window_items());
@@ -69,12 +69,12 @@ Result<sketch::WindowedSketch<Sketch>> DeserializeWindowedSketch(
         std::to_string(version));
   }
   OPTHASH_IO_ASSIGN(inner_type, in.ReadU32());
-  if (inner_type != static_cast<uint32_t>(SectionTypeOf<Sketch>::value)) {
+  if (inner_type != static_cast<uint32_t>(kSketchKindOf<Sketch>.section)) {
     return Status::InvalidArgument(
         std::string("windowed payload stores ") +
         SectionTypeName(static_cast<SectionType>(inner_type)) +
         " sub-sketches, not " +
-        SectionTypeName(SectionTypeOf<Sketch>::value));
+        SectionTypeName(kSketchKindOf<Sketch>.section));
   }
   OPTHASH_IO_ASSIGN(num_windows, in.ReadU32());
   OPTHASH_IO_ASSIGN(head, in.ReadU32());

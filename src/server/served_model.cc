@@ -6,13 +6,10 @@
 #include <vector>
 
 #include "io/model_io.h"
+#include "io/sketch_kinds.h"
 #include "io/sketch_snapshot.h"
 #include "io/windowed_snapshot.h"
-#include "sketch/count_min_sketch.h"
-#include "sketch/count_sketch.h"
-#include "sketch/learned_count_min.h"
-#include "sketch/misra_gries.h"
-#include "sketch/space_saving.h"
+#include "sketch/estimate_as_double.h"
 #include "sketch/windowed_sketch.h"
 #include "stream/trace_io.h"
 
@@ -21,36 +18,6 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Shared adapters.
-
-// Raw-typed sketch batch queries staged into double answers through
-// fixed-size stack chunks (the restore verb's idiom): one chunk loop for
-// every counter type, selected by the overloads below.
-template <typename Raw, typename Sketch>
-void EstimateChunksAsDouble(const Sketch& sketch, Span<const uint64_t> keys,
-                            Span<double> out) {
-  constexpr size_t kChunk = 256;
-  Raw raw[kChunk];
-  for (size_t base = 0; base < keys.size(); base += kChunk) {
-    const size_t chunk = std::min(kChunk, keys.size() - base);
-    sketch.EstimateBatch(keys.subspan(base, chunk), Span<Raw>(raw, chunk));
-    for (size_t i = 0; i < chunk; ++i) {
-      out[base + i] = static_cast<double>(raw[i]);
-    }
-  }
-}
-
-template <typename Sketch>
-void EstimateBlockAsDouble(const Sketch& sketch, Span<const uint64_t> keys,
-                           Span<double> out) {
-  EstimateChunksAsDouble<uint64_t>(sketch, keys, out);
-}
-
-// Count-Sketch keeps its signed median semantics, matching the offline
-// restore path (which prints negatives too).
-void EstimateBlockAsDouble(const sketch::CountSketch& sketch,
-                           Span<const uint64_t> keys, Span<double> out) {
-  EstimateChunksAsDouble<int64_t>(sketch, keys, out);
-}
 
 // total_count() where the sketch tracks one (count-min, misra-gries,
 // space-saving), 0 otherwise — resolved by overload preference.
@@ -65,19 +32,6 @@ uint64_t TotalItemsOf(const Sketch&, long) {  // NOLINT runtime/int
 
 class EmptyContext : public ServedModel::QueryContext {};
 
-// Detects a native sketch-layer top-k accessor: the free function
-// sketch::TopK(sketch, k) exists for the heavy-hitter summaries
-// (misra-gries, space-saving) and the learned count-min's oracle table;
-// plain cms/countsketch store no candidate ids and resolve to the base
-// class's FailedPrecondition.
-template <typename Sketch, typename = void>
-struct HasNativeTopK : std::false_type {};
-template <typename Sketch>
-struct HasNativeTopK<Sketch,
-                     std::void_t<decltype(sketch::TopK(
-                         std::declval<const Sketch&>(), size_t{0}))>>
-    : std::true_type {};
-
 void SortAndTruncateHitters(std::vector<sketch::HeavyHitter>& hitters,
                             size_t k) {
   sketch::SortHeavyHitters(hitters);
@@ -90,16 +44,15 @@ void SortAndTruncateHitters(std::vector<sketch::HeavyHitter>& hitters,
 template <typename Sketch>
 class SketchModel : public ServedModel {
  public:
-  SketchModel(Sketch sketch, const char* kind, stream::ShardMode mode)
-      : sketch_(std::move(sketch)), kind_(kind), mode_(mode) {}
+  explicit SketchModel(Sketch sketch) : sketch_(std::move(sketch)) {}
 
-  const char* Kind() const override { return kind_; }
+  const char* Kind() const override { return io::SketchKindName<Sketch>(); }
   bool ReadOnly() const override { return false; }
 
   Status Ingest(Span<const uint64_t> keys,
                 const stream::ShardedIngestConfig& config) override {
     stream::ShardedIngestConfig sharded = config;
-    sharded.mode = mode_;
+    sharded.mode = io::kSketchKindOf<Sketch>.shard_mode;
     auto stats = stream::ShardedIngest(keys, sharded, sketch_);
     return stats.ok() ? Status::OK() : stats.status();
   }
@@ -110,14 +63,16 @@ class SketchModel : public ServedModel {
 
   void EstimateBatch(QueryContext& /*context*/, Span<const uint64_t> keys,
                      Span<double> out) const override {
-    EstimateBlockAsDouble(sketch_, keys, out);
+    sketch::EstimateBatchAsDouble(sketch_, keys, out);
   }
 
-  bool SupportsTopK() const override { return HasNativeTopK<Sketch>::value; }
+  bool SupportsTopK() const override {
+    return sketch::HasNativeTopK<Sketch>::value;
+  }
 
   Status TopK(QueryContext& context, size_t k,
               std::vector<sketch::HeavyHitter>& out) const override {
-    if constexpr (HasNativeTopK<Sketch>::value) {
+    if constexpr (sketch::HasNativeTopK<Sketch>::value) {
       out = sketch::TopK(sketch_, k);
       return Status::OK();
     } else {
@@ -133,15 +88,7 @@ class SketchModel : public ServedModel {
 
  private:
   Sketch sketch_;
-  const char* kind_;
-  stream::ShardMode mode_;
 };
-
-template <typename Sketch>
-std::unique_ptr<ServedModel> MakeSketchModel(Sketch sketch, const char* kind,
-                                             stream::ShardMode mode) {
-  return std::make_unique<SketchModel<Sketch>>(std::move(sketch), kind, mode);
-}
 
 // ---------------------------------------------------------------------------
 // Windowed sketch rings (sliding-window / decayed counting).
@@ -149,11 +96,9 @@ std::unique_ptr<ServedModel> MakeSketchModel(Sketch sketch, const char* kind,
 template <typename Sketch>
 class WindowedSketchModel : public ServedModel {
  public:
-  WindowedSketchModel(sketch::WindowedSketch<Sketch> ring,
-                      const char* base_kind, stream::ShardMode mode)
+  explicit WindowedSketchModel(sketch::WindowedSketch<Sketch> ring)
       : ring_(std::move(ring)),
-        kind_(std::string("windowed-") + base_kind),
-        mode_(mode) {}
+        kind_(std::string("windowed-") + io::SketchKindName<Sketch>()) {}
 
   const char* Kind() const override { return kind_.c_str(); }
   bool ReadOnly() const override { return false; }
@@ -161,7 +106,7 @@ class WindowedSketchModel : public ServedModel {
   Status Ingest(Span<const uint64_t> keys,
                 const stream::ShardedIngestConfig& config) override {
     stream::ShardedIngestConfig sharded = config;
-    sharded.mode = mode_;
+    sharded.mode = io::kSketchKindOf<Sketch>.shard_mode;
     return ring_.Ingest(keys, sharded);
   }
 
@@ -210,20 +155,7 @@ class WindowedSketchModel : public ServedModel {
  private:
   sketch::WindowedSketch<Sketch> ring_;
   std::string kind_;
-  stream::ShardMode mode_;
 };
-
-template <typename Sketch>
-Result<OpenedModel> LoadWindowedModel(const std::string& path,
-                                      const char* base_kind,
-                                      stream::ShardMode mode) {
-  auto ring = io::LoadWindowedSketchSnapshot<Sketch>(path);
-  if (!ring.ok()) return ring.status();
-  OpenedModel opened;
-  opened.model = std::make_unique<WindowedSketchModel<Sketch>>(
-      std::move(ring).value(), base_kind, mode);
-  return opened;
-}
 
 // ---------------------------------------------------------------------------
 // Model bundles (featurizer + OptHashEstimator + classifier).
@@ -355,7 +287,7 @@ class MappedCountMinModel : public ServedModel {
 
   void EstimateBatch(QueryContext& /*context*/, Span<const uint64_t> keys,
                      Span<double> out) const override {
-    EstimateChunksAsDouble<uint64_t>(view_, keys, out);
+    sketch::EstimateBatchAsDouble(view_, keys, out);
   }
 
   Status SaveSnapshot(const std::string& path) const override {
@@ -437,96 +369,74 @@ Status AmsRejected(const std::string& path) {
       "moment — it cannot serve per-key frequency queries (use `restore`)");
 }
 
-Result<OpenedModel> OpenWindowedSketch(const std::string& path) {
-  auto inner = io::WindowedInnerTypeOfFile(path);
-  if (!inner.ok()) return inner.status();
-  switch (inner.value()) {
-    case io::SectionType::kCountMinSketch:
-      return LoadWindowedModel<sketch::CountMinSketch>(
-          path, "count-min", stream::ShardMode::kReplicated);
-    case io::SectionType::kCountSketch:
-      return LoadWindowedModel<sketch::CountSketch>(
-          path, "count-sketch", stream::ShardMode::kReplicated);
-    case io::SectionType::kAmsSketch:
-      return AmsRejected(path);
-    case io::SectionType::kLearnedCountMin:
-      return LoadWindowedModel<sketch::LearnedCountMinSketch>(
-          path, "learned-count-min", stream::ShardMode::kReplicated);
-    case io::SectionType::kMisraGries:
-      return LoadWindowedModel<sketch::MisraGries>(
-          path, "misra-gries", stream::ShardMode::kKeyPartitioned);
-    case io::SectionType::kSpaceSaving:
-      return LoadWindowedModel<sketch::SpaceSaving>(
-          path, "space-saving", stream::ShardMode::kKeyPartitioned);
-    default:
-      return Status::InvalidArgument(
-          path + " holds no servable windowed sub-sketch");
-  }
-}
-
+// Opens a single-sketch checkpoint: a plain sketch, or a windowed ring
+// whose inner section picks the kind. Only count-min has a mapped view;
+// every other kind (windowed rings included) falls back to a full load
+// on an mmap request (mmap_used stays false) rather than refusing to
+// serve.
 Result<OpenedModel> OpenSketch(const std::string& path, io::SectionType type,
                                bool use_mmap) {
-  OpenedModel opened;
-  switch (type) {
-    case io::SectionType::kCountMinSketch: {
-      if (use_mmap) {
-        auto view = io::MappedCountMinView::Open(path);
-        if (!view.ok()) return view.status();
-        opened.model = std::make_unique<MappedCountMinModel>(
-            std::move(view).value());
-        opened.mmap_used = true;
-        return opened;
-      }
-      auto sketch = io::LoadSketchSnapshot<sketch::CountMinSketch>(path);
-      if (!sketch.ok()) return sketch.status();
-      opened.model =
-          MakeSketchModel(std::move(sketch).value(), "count-min",
-                          stream::ShardMode::kReplicated);
-      return opened;
-    }
-    case io::SectionType::kCountSketch: {
-      auto sketch = io::LoadSketchSnapshot<sketch::CountSketch>(path);
-      if (!sketch.ok()) return sketch.status();
-      opened.model =
-          MakeSketchModel(std::move(sketch).value(), "count-sketch",
-                          stream::ShardMode::kReplicated);
-      return opened;
-    }
-    case io::SectionType::kAmsSketch:
-      return AmsRejected(path);
-    case io::SectionType::kLearnedCountMin: {
-      auto sketch =
-          io::LoadSketchSnapshot<sketch::LearnedCountMinSketch>(path);
-      if (!sketch.ok()) return sketch.status();
-      opened.model =
-          MakeSketchModel(std::move(sketch).value(), "learned-count-min",
-                          stream::ShardMode::kReplicated);
-      return opened;
-    }
-    case io::SectionType::kMisraGries: {
-      auto sketch = io::LoadSketchSnapshot<sketch::MisraGries>(path);
-      if (!sketch.ok()) return sketch.status();
-      opened.model = MakeSketchModel(std::move(sketch).value(), "misra-gries",
-                                     stream::ShardMode::kKeyPartitioned);
-      return opened;
-    }
-    case io::SectionType::kSpaceSaving: {
-      auto sketch = io::LoadSketchSnapshot<sketch::SpaceSaving>(path);
-      if (!sketch.ok()) return sketch.status();
-      opened.model =
-          MakeSketchModel(std::move(sketch).value(), "space-saving",
-                          stream::ShardMode::kKeyPartitioned);
-      return opened;
-    }
-    case io::SectionType::kWindowedSketch:
-      // Windowed rings have no mapped view; like every other unsupported
-      // kind, an mmap request falls back to a full load (mmap_used stays
-      // false) rather than refusing to serve.
-      return OpenWindowedSketch(path);
-    default:
-      return Status::InvalidArgument(
-          path + " holds no servable sketch section");
+  const bool windowed = type == io::SectionType::kWindowedSketch;
+  if (windowed) {
+    auto inner = io::WindowedInnerTypeOfFile(path);
+    if (!inner.ok()) return inner.status();
+    type = inner.value();
   }
+  const Status unservable = Status::InvalidArgument(
+      path + (windowed ? " holds no servable windowed sub-sketch"
+                       : " holds no servable sketch section"));
+  auto opened = io::VisitSketchKind(
+      type, [&](auto kind) -> Result<OpenedModel> {
+        using Kind = decltype(kind);
+        using Sketch = typename Kind::Sketch;
+        OpenedModel opened;
+        if constexpr (!Kind::kInfo.per_key) {
+          return AmsRejected(path);
+        } else if (windowed) {
+          static_assert(Kind::kInfo.windowable,
+                        "the daemon serves every per-key kind windowed too");
+          auto ring = io::LoadWindowedSketchSnapshot<Sketch>(path);
+          if (!ring.ok()) return ring.status();
+          opened.model = std::make_unique<WindowedSketchModel<Sketch>>(
+              std::move(ring).value());
+          return opened;
+        } else {
+          if constexpr (Kind::kInfo.mmap_view) {
+            static_assert(std::is_same_v<Sketch, sketch::CountMinSketch>,
+                          "MappedCountMinView is the only mapped sketch view");
+            if (use_mmap) {
+              auto view = io::MappedCountMinView::Open(path);
+              if (!view.ok()) return view.status();
+              opened.model = std::make_unique<MappedCountMinModel>(
+                  std::move(view).value());
+              opened.mmap_used = true;
+              return opened;
+            }
+          }
+          auto sketch = io::LoadSketchSnapshot<Sketch>(path);
+          if (!sketch.ok()) return sketch.status();
+          opened.model =
+              std::make_unique<SketchModel<Sketch>>(std::move(sketch).value());
+          return opened;
+        }
+      });
+  if (!opened.has_value()) return unservable;
+  return std::move(*opened);
+}
+
+// "learned-count-min, windowed-learned-count-min, ..., mapped-model-bundle":
+// every served kind with native top-k, for the unsupported-kind error.
+std::string TopKKinds() {
+  std::string kinds;
+  io::ForEachSketchKind([&](auto kind) {
+    using Kind = decltype(kind);
+    if constexpr (sketch::HasNativeTopK<typename Kind::Sketch>::value) {
+      const std::string name = io::SectionTypeName(Kind::kInfo.section);
+      kinds += name + ", ";
+      if (Kind::kInfo.windowable) kinds += "windowed-" + name + ", ";
+    }
+  });
+  return kinds + "model-bundle, mapped-model-bundle";
 }
 
 }  // namespace
@@ -536,9 +446,8 @@ Status ServedModel::TopK(QueryContext& /*context*/, size_t /*k*/,
   out.clear();
   return Status::FailedPrecondition(
       std::string(Kind()) +
-      " stores no candidate ids and cannot answer top-k; supported kinds: "
-      "misra-gries, space-saving, learned-count-min, model-bundle, "
-      "mapped-model-bundle");
+      " stores no candidate ids and cannot answer top-k; supported kinds: " +
+      TopKKinds());
 }
 
 Status ServedModel::WindowStats(WindowStatsSnapshot& out) const {
@@ -558,8 +467,8 @@ Result<OpenedModel> OpenServedModel(const std::string& path, bool use_mmap) {
     // A text bundle has no mappable layout; like every other unsupported
     // kind, an mmap request falls back to a full load (reported via
     // mmap_used) instead of refusing to serve — a daemon that comes up
-    // degraded beats one that stays down. (The offline `restore --mmap`
-    // verb still errors here; serving favors availability.)
+    // degraded beats one that stays down. The offline `restore --mmap`
+    // verb follows the same contract.
     auto bundle = io::LoadModelBundle(path);
     if (!bundle.ok()) return bundle.status();
     OpenedModel opened;
@@ -591,91 +500,52 @@ Result<OpenedModel> OpenServedModel(const std::string& path, bool use_mmap) {
   return opened;
 }
 
-namespace {
-
-// Wraps the freshly built base sketch in a windowed ring when the spec
-// asks for one; otherwise serves it as the plain lifetime counter.
-template <typename Sketch>
-Result<std::unique_ptr<ServedModel>> MakeServedMaybeWindowed(
-    Sketch sketch, const char* kind, stream::ShardMode mode,
-    const FreshSketchSpec& spec) {
-  if (spec.windows == 0) {
-    return MakeSketchModel(std::move(sketch), kind, mode);
-  }
-  auto ring = sketch::WindowedSketch<Sketch>::Create(
-      sketch, spec.windows, spec.window_items, spec.decay);
-  if (!ring.ok()) return ring.status();
-  return std::unique_ptr<ServedModel>(
-      std::make_unique<WindowedSketchModel<Sketch>>(std::move(ring).value(),
-                                                    kind, mode));
-}
-
-}  // namespace
-
 Result<std::unique_ptr<ServedModel>> CreateServedSketch(
     const FreshSketchSpec& spec) {
-  if (spec.width == 0 || spec.depth == 0 || spec.capacity == 0 ||
-      spec.buckets == 0) {
-    return Status::InvalidArgument(
-        "--width, --depth, --capacity and --buckets must be >= 1");
+  const Status valid = sketch::ValidateFreshSketchFlags(
+      spec.width, spec.depth, spec.capacity, spec.buckets, spec.windows,
+      spec.window_items, spec.decay);
+  if (!valid.ok()) return valid;
+  // No prefix: a fresh daemon has nothing to rank heavy keys from, so a
+  // learned count-min starts with an empty oracle set (pure CMS
+  // behavior); serve a checkpoint produced by `snapshot --sketch lcms` to
+  // keep a trained oracle.
+  io::FreshSketchGeometry geometry;
+  geometry.width = spec.width;
+  geometry.depth = spec.depth;
+  geometry.capacity = spec.capacity;
+  geometry.buckets = spec.buckets;
+  geometry.seed = spec.seed;
+  geometry.conservative = spec.conservative;
+  auto model = io::VisitSketchKind(
+      spec.kind, [&](auto kind) -> Result<std::unique_ptr<ServedModel>> {
+        using Kind = decltype(kind);
+        using Sketch = typename Kind::Sketch;
+        if constexpr (!Kind::kInfo.per_key) {
+          return Status::InvalidArgument(
+              spec.kind + " answers only the F2 moment and cannot be served");
+        } else {
+          auto fresh = Kind::MakeFresh(geometry);
+          if (!fresh.ok()) return fresh.status();
+          if (spec.windows == 0) {
+            return std::unique_ptr<ServedModel>(
+                std::make_unique<SketchModel<Sketch>>(
+                    std::move(fresh).value()));
+          }
+          static_assert(Kind::kInfo.windowable,
+                        "the daemon serves every per-key kind windowed too");
+          auto ring = sketch::WindowedSketch<Sketch>::Create(
+              fresh.value(), spec.windows, spec.window_items, spec.decay);
+          if (!ring.ok()) return ring.status();
+          return std::unique_ptr<ServedModel>(
+              std::make_unique<WindowedSketchModel<Sketch>>(
+                  std::move(ring).value()));
+        }
+      });
+  if (!model.has_value()) {
+    return Status::InvalidArgument("unknown sketch kind: " + spec.kind);
   }
-  if (spec.windows == 0) {
-    if (spec.window_items > 0 || spec.decay != 1.0) {
-      return Status::InvalidArgument(
-          "--window and --decay configure windowed counting; add "
-          "--windows W (>= 1)");
-    }
-  } else {
-    // Serving has no manual-tick driver, so item-count advance is the
-    // only mode: a windowed daemon must say how many arrivals one
-    // window holds.
-    if (spec.window_items == 0) {
-      return Status::InvalidArgument(
-          "windowed serving advances by item count: --window N must be "
-          ">= 1");
-    }
-    Status valid = sketch::ValidateWindowedConfig(spec.windows, spec.decay);
-    if (!valid.ok()) return valid;
-  }
-  if (spec.kind == "cms") {
-    return MakeServedMaybeWindowed(
-        sketch::CountMinSketch(spec.width, spec.depth, spec.seed,
-                               spec.conservative),
-        "count-min", stream::ShardMode::kReplicated, spec);
-  }
-  if (spec.kind == "countsketch") {
-    return MakeServedMaybeWindowed(
-        sketch::CountSketch(spec.width, spec.depth, spec.seed),
-        "count-sketch", stream::ShardMode::kReplicated, spec);
-  }
-  if (spec.kind == "lcms") {
-    // A fresh daemon has no prefix to rank heavy keys from, so the
-    // learned sketch starts with an empty oracle set (pure CMS behavior);
-    // serve a checkpoint produced by `snapshot --sketch lcms` to keep a
-    // trained oracle.
-    auto lcms = sketch::LearnedCountMinSketch::Create(spec.buckets,
-                                                      spec.depth, {},
-                                                      spec.seed);
-    if (!lcms.ok()) return lcms.status();
-    return MakeServedMaybeWindowed(std::move(lcms).value(),
-                                   "learned-count-min",
-                                   stream::ShardMode::kReplicated, spec);
-  }
-  if (spec.kind == "mg") {
-    return MakeServedMaybeWindowed(sketch::MisraGries(spec.capacity),
-                                   "misra-gries",
-                                   stream::ShardMode::kKeyPartitioned, spec);
-  }
-  if (spec.kind == "ss") {
-    return MakeServedMaybeWindowed(sketch::SpaceSaving(spec.capacity),
-                                   "space-saving",
-                                   stream::ShardMode::kKeyPartitioned, spec);
-  }
-  if (spec.kind == "ams") {
-    return Status::InvalidArgument(
-        "ams answers only the F2 moment and cannot be served");
-  }
-  return Status::InvalidArgument("unknown sketch kind: " + spec.kind);
+  return std::move(*model);
 }
 
 }  // namespace opthash::server

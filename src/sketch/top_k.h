@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/span.h"
@@ -69,6 +71,17 @@ std::vector<HeavyHitter> TopK(const SpaceSaving& summary, size_t k);
 /// is guaranteed with error_bound 0; keys outside the oracle set are not
 /// candidates (the sketch stores no other ids to scan).
 std::vector<HeavyHitter> TopK(const LearnedCountMinSketch& sketch, size_t k);
+
+/// True when `TopK(sketch, k)` above exists for Sketch: the heavy-hitter
+/// summaries and the learned count-min's oracle table. Plain cms and
+/// countsketch store no candidate ids.
+template <typename Sketch, typename = void>
+struct HasNativeTopK : std::false_type {};
+template <typename Sketch>
+struct HasNativeTopK<Sketch,
+                     std::void_t<decltype(TopK(std::declval<const Sketch&>(),
+                                               size_t{}))>> : std::true_type {
+};
 
 /// Threshold-scan fallback for sketches with no internal candidate
 /// table: the k heaviest of `candidates` (duplicates ignored) under the

@@ -34,6 +34,28 @@ Status ValidateWindowedParts(size_t num_windows, size_t num_counts,
   return Status::OK();
 }
 
+Status ValidateFreshSketchFlags(size_t width, size_t depth, size_t capacity,
+                                size_t buckets, size_t windows,
+                                uint64_t window_items, double decay) {
+  if (width == 0 || depth == 0 || capacity == 0 || buckets == 0) {
+    return Status::InvalidArgument(
+        "--width, --depth, --capacity and --buckets must be >= 1");
+  }
+  if (windows == 0) {
+    if (window_items != 0 || decay != 1.0) {
+      return Status::InvalidArgument(
+          "--window and --decay configure windowed counting; add "
+          "--windows W (>= 1)");
+    }
+    return Status::OK();
+  }
+  if (window_items == 0) {
+    return Status::InvalidArgument(
+        "windowed counting advances by item count: --window N must be >= 1");
+  }
+  return ValidateWindowedConfig(windows, decay);
+}
+
 double WindowDecayWeight(double decay, size_t age) {
   // Iterated product, not std::pow: ages are at most W-1 and the repeated
   // multiply is reproducible bit-for-bit on every platform, which the

@@ -4,13 +4,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/span.h"
 #include "common/status.h"
+#include "sketch/estimate_as_double.h"
 #include "sketch/top_k.h"
 #include "stream/sharded_ingest.h"
 
@@ -23,19 +23,19 @@ Status ValidateWindowedConfig(size_t num_windows, double decay);
 Status ValidateWindowedParts(size_t num_windows, size_t num_counts,
                              size_t head, double decay);
 
+/// The flag checks both fresh-sketch entry points share (`opthash_cli
+/// snapshot` and `opthash_serve --sketch`): every geometry size must be
+/// >= 1 (zero would trip the sketch constructors' invariant aborts);
+/// windows == 0 is lifetime counting, so --window and --decay must stay
+/// unset; windows >= 1 needs an item-count advance (window_items >= 1)
+/// and a ValidateWindowedConfig-valid decay.
+Status ValidateFreshSketchFlags(size_t width, size_t depth, size_t capacity,
+                                size_t buckets, size_t windows,
+                                uint64_t window_items, double decay);
+
 /// decay^age without std::pow: bit-reproducible across libm versions,
 /// which the snapshot/restore equivalence tests rely on.
 double WindowDecayWeight(double decay, size_t age);
-
-namespace internal {
-template <typename Sketch, typename = void>
-struct HasNativeTopK : std::false_type {};
-template <typename Sketch>
-struct HasNativeTopK<Sketch,
-                     std::void_t<decltype(TopK(std::declval<const Sketch&>(),
-                                               size_t{}))>> : std::true_type {
-};
-}  // namespace internal
 
 /// \brief Sliding-window counting over a ring of W mergeable sub-sketches.
 ///
@@ -63,12 +63,7 @@ struct HasNativeTopK<Sketch,
 template <typename Sketch>
 class WindowedSketch {
  public:
-  /// What the inner sketch's Estimate returns (int64_t for count-sketch,
-  /// uint64_t everywhere else).
-  using RawEstimate =
-      decltype(std::declval<const Sketch&>().Estimate(uint64_t{0}));
-
-  static constexpr bool kHasNativeTopK = internal::HasNativeTopK<Sketch>::value;
+  static constexpr bool kHasNativeTopK = HasNativeTopK<Sketch>::value;
 
   /// The prototype contributes geometry and seed only (via EmptyClone);
   /// any counts it holds are ignored. decay must be in (0, 1].
@@ -166,18 +161,7 @@ class WindowedSketch {
       for (size_t i = 0; i < keys.size(); ++i) out[i] = Estimate(keys[i]);
       return;
     }
-    constexpr size_t kChunk = 256;
-    RawEstimate raw[kChunk];
-    size_t offset = 0;
-    while (offset < keys.size()) {
-      const size_t n = std::min(kChunk, keys.size() - offset);
-      merged_.EstimateBatch(Span<const uint64_t>(keys.data() + offset, n),
-                            Span<RawEstimate>(raw, n));
-      for (size_t i = 0; i < n; ++i) {
-        out[offset + i] = static_cast<double>(raw[i]);
-      }
-      offset += n;
-    }
+    EstimateBatchAsDouble(merged_, keys, out);
   }
 
   /// Top-k over the live windows: per-window candidate lists folded with

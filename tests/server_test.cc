@@ -628,6 +628,32 @@ TEST(ServerTest, TopKOnKindWithoutCandidatesFailsAndSessionSurvives) {
   EXPECT_EQ(estimates[0], 2.0);
 }
 
+TEST(ServerTest, TopKErrorListsWindowedHeavyHitterKinds) {
+  // The unsupported-kind error names every kind that does answer top-k,
+  // windowed rings of the heavy-hitter summaries included.
+  std::unique_ptr<ServedModel> model = FreshCms();
+  auto context = model->NewQueryContext();
+  std::vector<sketch::HeavyHitter> hitters;
+  const Status status = model->TopK(*context, 5, hitters);
+  ASSERT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("cannot answer top-k"), std::string::npos);
+  for (const char* kind :
+       {"misra-gries", "windowed-misra-gries", "windowed-space-saving",
+        "windowed-learned-count-min", "mapped-model-bundle"}) {
+    EXPECT_NE(status.message().find(kind), std::string::npos) << kind;
+  }
+  EXPECT_EQ(status.message().find("windowed-count-min"), std::string::npos);
+
+  FreshSketchSpec windowed;
+  windowed.kind = "mg";
+  windowed.windows = 2;
+  windowed.window_items = 4;
+  auto ring = CreateServedSketch(windowed);
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
+  EXPECT_TRUE(ring.value()->SupportsTopK());
+  EXPECT_STREQ(ring.value()->Kind(), "windowed-misra-gries");
+}
+
 TEST(ServerTest, ScopedRequestsServeDefaultIdAndRejectOthers) {
   RunningServer running(FreshSpaceSaving());
   ASSERT_TRUE(running.Start().ok());

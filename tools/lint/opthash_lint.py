@@ -36,6 +36,13 @@ Enforced invariants:
     tier cannot ship without joining the scalar-vs-vector differential
     harness that proves the tiers bit-identical.
 
+  Sketch kinds (src/io/sketch_kinds.h) — no file under src/server/ or
+    tools/ may dispatch on a sketch kind by hand: no `case` on, or
+    `==`/`!=` comparison with, a table row's SectionType, and no
+    `==`/`!=` comparison with a row's `--sketch` name. Per-kind code
+    visits the table (io::VisitSketchKind), so adding a kind stays one
+    row.
+
 Adding a new frame/section/flag without its paired artifacts fails this
 script with a message naming every missing piece (see
 docs/DEVELOPING.md for the add-a-frame walkthrough). Exit 0 clean,
@@ -242,6 +249,56 @@ def check_kernel_entry_points(problems):
                 "the force/availability/naming suite" % name)
 
 
+def sketch_kind_rows():
+    """[(cli name, SectionType enumerator)] of the sketch-kind table."""
+    rows = re.findall(
+        r'SketchKindRow<[^>]*>\s*\{\s*\{\s*"([a-z0-9]+)"\s*,\s*'
+        r"SectionType::(\w+)",
+        strip_comments(read("src/io/sketch_kinds.h")))
+    if not rows:
+        sys.exit("opthash_lint: no SketchKindRow parsed from "
+                 "src/io/sketch_kinds.h — the kind-dispatch guard is gone")
+    return rows
+
+
+def check_sketch_kind_dispatch(problems):
+    rows = sketch_kind_rows()
+    names = "|".join(re.escape(name) for name, _ in rows)
+    sections = "|".join(re.escape(section) for _, section in rows)
+    patterns = (
+        (r"\bcase\s+(?:io::)?SectionType::(%s)\b" % sections,
+         "`case` on SectionType::%s"),
+        (r"[=!]=\s*(?:io::)?SectionType::(%s)\b" % sections,
+         "comparison with SectionType::%s"),
+        (r"\bSectionType::(%s)\s*[=!]=" % sections,
+         "comparison with SectionType::%s"),
+        (r'[=!]=\s*"(%s)"' % names, 'comparison with kind name "%s"'),
+        (r'"(%s)"\s*[=!]=' % names, 'comparison with kind name "%s"'),
+    )
+    for top in ("src/server", "tools"):
+        for dirpath, _, files in sorted(os.walk(os.path.join(REPO_ROOT,
+                                                             top))):
+            for name in sorted(files):
+                if not name.endswith((".cc", ".h")):
+                    continue
+                rel = os.path.relpath(os.path.join(dirpath, name),
+                                      REPO_ROOT)
+                # Blank comments out line by line so reported line
+                # numbers stay true.
+                text = re.sub(r"/\*.*?\*/|//[^\n]*",
+                              lambda m: "\n" * m.group(0).count("\n"),
+                              read(rel), flags=re.S)
+                for pattern, what in patterns:
+                    for match in re.finditer(pattern, text):
+                        line = text.count("\n", 0, match.start()) + 1
+                        problems.append(
+                            "%s:%d: hand-written sketch-kind dispatch (%s) "
+                            "— add a column to the sketch-kind table "
+                            "(src/io/sketch_kinds.h) and visit it with "
+                            "io::VisitSketchKind instead"
+                            % (rel, line, what % match.group(1)))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.parse_args()
@@ -250,6 +307,7 @@ def main():
     check_section_types(problems)
     check_tool_flags(problems)
     check_kernel_entry_points(problems)
+    check_sketch_kind_dispatch(problems)
     if problems:
         print("opthash_lint: %d invariant violation(s)\n" % len(problems))
         for p in problems:

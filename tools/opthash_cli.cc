@@ -23,8 +23,10 @@
 #include "core/evaluation.h"
 #include "core/opt_hash_estimator.h"
 #include "io/model_io.h"
+#include "io/sketch_kinds.h"
 #include "io/sketch_snapshot.h"
 #include "io/windowed_snapshot.h"
+#include "sketch/estimate_as_double.h"
 #include "sketch/windowed_sketch.h"
 #include "server/protocol.h"
 #include "server/served_model.h"
@@ -141,11 +143,12 @@ constexpr const char* kUsageText =
     "                  F2 moment, so the trace is ignored with a note).\n"
     "                  Without it, prints a summary of the file\n"
     "  --mmap 1        zero-copy load: serve queries straight from the\n"
-    "                  mapped file. Binary files only; bundles answer\n"
-    "                  stored-id queries (no classifier fallback), cms\n"
-    "                  checkpoints answer all point queries. Sketch kinds\n"
-    "                  without a mapped view (countsketch/ams/lcms/mg/ss)\n"
-    "                  fall back to a full load with a stderr notice; the\n"
+    "                  mapped file. Binary bundles answer stored-id\n"
+    "                  queries (no classifier fallback), cms checkpoints\n"
+    "                  answer all point queries. Text bundles and sketch\n"
+    "                  kinds without a mapped view (countsketch/ams/lcms/\n"
+    "                  mg/ss, windowed rings) fall back to a full load with\n"
+    "                  a stderr notice (the daemon's contract too); the\n"
     "                  mode actually used is always reported as a\n"
     "                  `load mode:` stderr line\n"
     "  --block-size B  query ids per batched estimator call\n"
@@ -421,98 +424,86 @@ Result<std::vector<uint64_t>> TraceIds(const std::string& path) {
   return ids;
 }
 
+// Ingests `ids` into a plain sketch and writes it back as a checkpoint.
 template <typename Sketch>
 int IngestAndSave(Sketch sketch, Span<const uint64_t> ids,
-                  const std::string& out, const char* kind) {
+                  const std::string& out) {
   sketch.UpdateBatch(ids);
   const Status saved = io::SaveSketchSnapshot(out, sketch);
   if (!saved.ok()) return Fail(saved);
-  std::printf("%s checkpoint: ingested %zu arrivals, written to %s\n", kind,
-              ids.size(), out.c_str());
+  std::printf("%s checkpoint: ingested %zu arrivals, written to %s\n",
+              io::SketchKindName<Sketch>(), ids.size(), out.c_str());
   return 0;
-}
-
-template <typename Sketch>
-int ResumeIngestAndSave(const std::string& in, Span<const uint64_t> ids,
-                        const std::string& out, const char* kind) {
-  auto sketch = io::LoadSketchSnapshot<Sketch>(in);
-  if (!sketch.ok()) return Fail(sketch.status());
-  return IngestAndSave(std::move(sketch).value(), ids, out, kind);
 }
 
 // Windowed counting rides the same snapshot verb: the ring (position,
 // per-window counts, sub-sketches) IS the checkpoint, so a later
 // `--in prev.bin` run resumes mid-window exactly where this one stopped.
-struct WindowSpec {
-  size_t windows = 0;  // 0 = plain lifetime counting.
-  uint64_t window_items = 0;
-  double decay = 1.0;
-};
-
 template <typename Sketch>
-int IngestAndSaveWindowed(sketch::WindowedSketch<Sketch> ring,
-                          Span<const uint64_t> ids, const std::string& out,
-                          const char* kind) {
+int IngestAndSave(sketch::WindowedSketch<Sketch> ring,
+                  Span<const uint64_t> ids, const std::string& out) {
   ring.UpdateBatch(ids);
   const Status saved = io::SaveWindowedSketchSnapshot(out, ring);
   if (!saved.ok()) return Fail(saved);
   std::printf(
       "windowed %s checkpoint: ingested %zu arrivals (%zu windows x %llu "
       "items, sequence %llu), written to %s\n",
-      kind, ids.size(), ring.num_windows(),
+      io::SketchKindName<Sketch>(), ids.size(), ring.num_windows(),
       static_cast<unsigned long long>(ring.window_items()),
       static_cast<unsigned long long>(ring.window_sequence()), out.c_str());
   return 0;
 }
 
-template <typename Sketch>
-int IngestAndSaveMaybeWindowed(Sketch sketch, const WindowSpec& window,
-                               Span<const uint64_t> ids,
-                               const std::string& out, const char* kind) {
-  if (window.windows == 0) {
-    return IngestAndSave(std::move(sketch), ids, out, kind);
+// Loads the single-sketch checkpoint `in`, whose one section is
+// `section`, and returns use(loaded): the plain sketch, or the
+// WindowedSketch ring of a windowed checkpoint. The checkpoint's own
+// section picks the kind; a ring's inner section picks its sub-sketch.
+template <typename Use>
+int WithCheckpoint(const std::string& in, io::SectionType section,
+                   Use&& use) {
+  const bool windowed = section == io::SectionType::kWindowedSketch;
+  if (windowed) {
+    auto inner = io::WindowedInnerTypeOfFile(in);
+    if (!inner.ok()) return Fail(inner.status());
+    section = inner.value();
   }
-  auto ring = sketch::WindowedSketch<Sketch>::Create(
-      sketch, window.windows, window.window_items, window.decay);
-  if (!ring.ok()) return Fail(ring.status());
-  return IngestAndSaveWindowed(std::move(ring).value(), ids, out, kind);
+  const Status unknown = Status::InvalidArgument(
+      in + (windowed ? " wraps a sub-sketch kind without per-key estimates"
+                     : " holds no sketch section (is it a model bundle?)"));
+  const auto done = io::VisitSketchKind(section, [&](auto kind) -> int {
+    using Kind = decltype(kind);
+    using Sketch = typename Kind::Sketch;
+    if (!windowed) {
+      auto sketch = io::LoadSketchSnapshot<Sketch>(in);
+      if (!sketch.ok()) return Fail(sketch.status());
+      return use(std::move(sketch).value());
+    }
+    if constexpr (Kind::kInfo.windowable) {
+      auto ring = io::LoadWindowedSketchSnapshot<Sketch>(in);
+      if (!ring.ok()) return Fail(ring.status());
+      return use(std::move(ring).value());
+    } else {
+      return Fail(unknown);
+    }
+  });
+  return done.has_value() ? *done : Fail(unknown);
 }
 
-template <typename Sketch>
-int ResumeWindowedIngestAndSave(const std::string& in,
-                                Span<const uint64_t> ids,
-                                const std::string& out, const char* kind) {
-  auto ring = io::LoadWindowedSketchSnapshot<Sketch>(in);
-  if (!ring.ok()) return Fail(ring.status());
-  return IngestAndSaveWindowed(std::move(ring).value(), ids, out, kind);
-}
-
-// The checkpoint's windowed section decides the sub-sketch kind on
-// resume, mirroring the plain single-section dispatch below.
-int ResumeWindowed(const std::string& in, Span<const uint64_t> ids,
-                   const std::string& out) {
-  auto inner = io::WindowedInnerTypeOfFile(in);
-  if (!inner.ok()) return Fail(inner.status());
-  switch (inner.value()) {
-    case io::SectionType::kCountMinSketch:
-      return ResumeWindowedIngestAndSave<sketch::CountMinSketch>(
-          in, ids, out, "count-min");
-    case io::SectionType::kCountSketch:
-      return ResumeWindowedIngestAndSave<sketch::CountSketch>(
-          in, ids, out, "count-sketch");
-    case io::SectionType::kLearnedCountMin:
-      return ResumeWindowedIngestAndSave<sketch::LearnedCountMinSketch>(
-          in, ids, out, "learned-count-min");
-    case io::SectionType::kMisraGries:
-      return ResumeWindowedIngestAndSave<sketch::MisraGries>(in, ids, out,
-                                                             "misra-gries");
-    case io::SectionType::kSpaceSaving:
-      return ResumeWindowedIngestAndSave<sketch::SpaceSaving>(
-          in, ids, out, "space-saving");
-    default:
-      return Fail(Status::InvalidArgument(
-          in + " wraps a sub-sketch kind without per-key estimates"));
+// The `--sketch` names of the windowable kinds as an English list
+// ("cms, countsketch, lcms, mg or ss").
+std::string WindowableKindNames() {
+  std::vector<std::string> names;
+  io::ForEachSketchKind([&](auto kind) {
+    if (decltype(kind)::kInfo.windowable) {
+      names.push_back(decltype(kind)::kInfo.cli_name);
+    }
+  });
+  std::string list;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (i > 0) list += i + 1 == names.size() ? " or " : ", ";
+    list += names[i];
   }
+  return list;
 }
 
 int CmdSnapshot(const Flags& flags) {
@@ -533,39 +524,17 @@ int CmdSnapshot(const Flags& flags) {
   if (!seed.ok()) return Fail(seed.status());
   const auto conservative = flags.GetUint("conservative", 0);
   if (!conservative.ok()) return Fail(conservative.status());
-  // Zero geometry would trip the sketch constructors' internal-invariant
-  // aborts; reject it as flag validation like every other bad input.
-  if (width.value() == 0 || depth.value() == 0 || capacity.value() == 0 ||
-      buckets.value() == 0) {
-    return Fail(Status::InvalidArgument(
-        "--width, --depth, --capacity and --buckets must be >= 1"));
-  }
   const auto windows_flag = flags.GetUint("windows", 0);
   if (!windows_flag.ok()) return Fail(windows_flag.status());
   const auto window_flag = flags.GetUint("window", 0);
   if (!window_flag.ok()) return Fail(window_flag.status());
   const auto decay_flag = flags.GetDouble("decay", 1.0);
   if (!decay_flag.ok()) return Fail(decay_flag.status());
-  WindowSpec window;
-  window.windows = static_cast<size_t>(windows_flag.value());
-  window.window_items = window_flag.value();
-  window.decay = decay_flag.value();
-  if (window.windows == 0) {
-    if (window.window_items != 0 || window.decay != 1.0) {
-      return Fail(Status::InvalidArgument(
-          "--window and --decay configure windowed counting; add "
-          "--windows W (>= 1)"));
-    }
-  } else {
-    if (window.window_items == 0) {
-      return Fail(Status::InvalidArgument(
-          "windowed checkpoints advance by item count: --window N must "
-          "be >= 1"));
-    }
-    const Status config_ok =
-        sketch::ValidateWindowedConfig(window.windows, window.decay);
-    if (!config_ok.ok()) return Fail(config_ok);
-  }
+  const size_t windows = static_cast<size_t>(windows_flag.value());
+  const Status valid = sketch::ValidateFreshSketchFlags(
+      width.value(), depth.value(), capacity.value(), buckets.value(),
+      windows, window_flag.value(), decay_flag.value());
+  if (!valid.ok()) return Fail(valid);
 
   auto ids = TraceIds(flags.Get("trace", ""));
   if (!ids.ok()) return Fail(ids.status());
@@ -581,77 +550,50 @@ int CmdSnapshot(const Flags& flags) {
       return Fail(Status::InvalidArgument(
           in + " is not a single-sketch checkpoint"));
     }
-    if (sections.value().front() == io::SectionType::kWindowedSketch) {
-      return ResumeWindowed(in, ids.value(), out);
-    }
-    switch (sections.value().front()) {
-      case io::SectionType::kCountMinSketch:
-        return ResumeIngestAndSave<sketch::CountMinSketch>(
-            in, ids.value(), out, "count-min");
-      case io::SectionType::kCountSketch:
-        return ResumeIngestAndSave<sketch::CountSketch>(in, ids.value(), out,
-                                                        "count-sketch");
-      case io::SectionType::kAmsSketch:
-        return ResumeIngestAndSave<sketch::AmsSketch>(in, ids.value(), out,
-                                                      "ams");
-      case io::SectionType::kLearnedCountMin:
-        return ResumeIngestAndSave<sketch::LearnedCountMinSketch>(
-            in, ids.value(), out, "learned-count-min");
-      case io::SectionType::kMisraGries:
-        return ResumeIngestAndSave<sketch::MisraGries>(in, ids.value(), out,
-                                                       "misra-gries");
-      case io::SectionType::kSpaceSaving:
-        return ResumeIngestAndSave<sketch::SpaceSaving>(in, ids.value(), out,
-                                                        "space-saving");
-      default:
-        return Fail(Status::InvalidArgument(
-            in + " holds no sketch section (is it a model bundle?)"));
-    }
+    return WithCheckpoint(in, sections.value().front(), [&](auto loaded) {
+      return IngestAndSave(std::move(loaded), ids.value(), out);
+    });
   }
 
+  // Fresh path: a learned count-min ranks its oracle keys from this
+  // trace.
+  io::FreshSketchGeometry geometry;
+  geometry.width = static_cast<size_t>(width.value());
+  geometry.depth = static_cast<size_t>(depth.value());
+  geometry.capacity = static_cast<size_t>(capacity.value());
+  geometry.buckets = static_cast<size_t>(buckets.value());
+  geometry.heavy = static_cast<size_t>(heavy.value());
+  geometry.seed = seed.value();
+  geometry.conservative = conservative.value() != 0;
+  geometry.prefix = ids.value();
   const std::string kind = flags.Get("sketch", "cms");
-  if (kind == "cms") {
-    return IngestAndSaveMaybeWindowed(
-        sketch::CountMinSketch(width.value(), depth.value(), seed.value(),
-                               conservative.value() != 0),
-        window, ids.value(), out, "count-min");
-  }
-  if (kind == "countsketch") {
-    return IngestAndSaveMaybeWindowed(
-        sketch::CountSketch(width.value(), depth.value(), seed.value()),
-        window, ids.value(), out, "count-sketch");
-  }
-  if (kind == "ams") {
-    if (window.windows != 0) {
-      return Fail(Status::InvalidArgument(
-          "ams estimates the stream-wide F2 moment, not per-key counts; "
-          "windowed counting needs cms, countsketch, lcms, mg or ss"));
+  const auto done = io::VisitSketchKind(kind, [&](auto row) -> int {
+    using Kind = decltype(row);
+    if constexpr (!Kind::kInfo.windowable) {
+      if (windows != 0) {
+        return Fail(Status::InvalidArgument(
+            kind +
+            " estimates the stream-wide F2 moment, not per-key counts; "
+            "windowed counting needs " +
+            WindowableKindNames()));
+      }
     }
-    return IngestAndSave(
-        sketch::AmsSketch(depth.value(), capacity.value(), seed.value()),
-        ids.value(), out, "ams");
+    auto fresh = Kind::MakeFresh(geometry);
+    if (!fresh.ok()) return Fail(fresh.status());
+    if constexpr (Kind::kInfo.windowable) {
+      if (windows != 0) {
+        auto ring = sketch::WindowedSketch<typename Kind::Sketch>::Create(
+            fresh.value(), windows, window_flag.value(), decay_flag.value());
+        if (!ring.ok()) return Fail(ring.status());
+        return IngestAndSave(std::move(ring).value(), ids.value(), out);
+      }
+    }
+    return IngestAndSave(std::move(fresh).value(), ids.value(), out);
+  });
+  if (!done.has_value()) {
+    return Fail(Status::InvalidArgument("unknown sketch kind: " + kind));
   }
-  if (kind == "lcms") {
-    std::unordered_map<uint64_t, uint64_t> counts;
-    for (uint64_t id : ids.value()) ++counts[id];
-    auto lcms = sketch::LearnedCountMinSketch::Create(
-        buckets.value(), depth.value(),
-        sketch::SelectTopKeys(counts, heavy.value()), seed.value());
-    if (!lcms.ok()) return Fail(lcms.status());
-    return IngestAndSaveMaybeWindowed(std::move(lcms).value(), window,
-                                      ids.value(), out, "learned-count-min");
-  }
-  if (kind == "mg") {
-    return IngestAndSaveMaybeWindowed(sketch::MisraGries(capacity.value()),
-                                      window, ids.value(), out,
-                                      "misra-gries");
-  }
-  if (kind == "ss") {
-    return IngestAndSaveMaybeWindowed(sketch::SpaceSaving(capacity.value()),
-                                      window, ids.value(), out,
-                                      "space-saving");
-  }
-  return Fail(Status::InvalidArgument("unknown sketch kind: " + kind));
+  return *done;
 }
 
 std::vector<uint64_t> DistinctInOrder(const std::vector<uint64_t>& ids) {
@@ -670,22 +612,16 @@ void ReportLoadMode(bool mmap) {
   std::fprintf(stderr, "load mode: %s\n", mmap ? "mmap" : "full");
 }
 
-Result<size_t> RestoreBlockSize(const Flags& flags) {
-  const auto block_size = flags.GetUint("block-size", 4096);
-  if (!block_size.ok()) return block_size.status();
-  if (block_size.value() == 0) {
-    return Status::InvalidArgument("--block-size must be >= 1");
-  }
-  return static_cast<size_t>(block_size.value());
-}
-
-// Distinct query ids flow to the estimator in blocks through the batch
-// API; estimate_block fills one Span<double> per block.
+// The distinct ids of the --trace query file flow to the estimator in
+// blocks through the batch API; estimate_block fills one Span<double>
+// per block.
 template <typename BatchFn>
-int PrintEstimatesBatch(const std::vector<uint64_t>& ids, size_t block_size,
+int PrintEstimatesBatch(const Flags& flags, size_t block_size,
                         BatchFn estimate_block) {
+  auto ids = TraceIds(flags.Get("trace", ""));
+  if (!ids.ok()) return Fail(ids.status());
   std::printf("id,estimate\n");
-  const std::vector<uint64_t> distinct = DistinctInOrder(ids);
+  const std::vector<uint64_t> distinct = DistinctInOrder(ids.value());
   std::vector<double> estimates(std::min(block_size, distinct.size()));
   for (size_t base = 0; base < distinct.size(); base += block_size) {
     const size_t block = std::min(block_size, distinct.size() - base);
@@ -700,40 +636,8 @@ int PrintEstimatesBatch(const std::vector<uint64_t>& ids, size_t block_size,
   return 0;
 }
 
-// Adapter from the sketches' typed batch queries to the double answers
-// the CSV printer wants, staged through fixed-size stack chunks. One
-// chunk loop for every raw counter type; the overloads below only pick
-// the Raw type per sketch.
-template <typename Raw, typename Sketch>
-void EstimateChunksAsDouble(const Sketch& sketch, Span<const uint64_t> keys,
-                            Span<double> out) {
-  constexpr size_t kChunk = 256;
-  Raw raw[kChunk];
-  for (size_t base = 0; base < keys.size(); base += kChunk) {
-    const size_t chunk = std::min(kChunk, keys.size() - base);
-    sketch.EstimateBatch(keys.subspan(base, chunk), Span<Raw>(raw, chunk));
-    for (size_t i = 0; i < chunk; ++i) {
-      out[base + i] = static_cast<double>(raw[i]);
-    }
-  }
-}
-
-template <typename Sketch>
-void EstimateBlockAsDouble(const Sketch& sketch, Span<const uint64_t> keys,
-                           Span<double> out) {
-  EstimateChunksAsDouble<uint64_t>(sketch, keys, out);
-}
-
-// CountSketch keeps its signed median semantics (the scalar restore path
-// printed negatives too), so it routes through the int64 batch query.
-void EstimateBlockAsDouble(const sketch::CountSketch& sketch,
-                           Span<const uint64_t> keys, Span<double> out) {
-  EstimateChunksAsDouble<int64_t>(sketch, keys, out);
-}
-
-int RestoreBundle(const Flags& flags, const std::string& in, bool use_mmap) {
-  const auto block_size = RestoreBlockSize(flags);
-  if (!block_size.ok()) return Fail(block_size.status());
+int RestoreBundle(const Flags& flags, const std::string& in, bool use_mmap,
+                  size_t block_size) {
   if (use_mmap) {
     auto view = io::MappedEstimatorView::Open(in);
     if (!view.ok()) return Fail(view.status());
@@ -745,10 +649,8 @@ int RestoreBundle(const Flags& flags, const std::string& in, bool use_mmap) {
           view.value().num_buckets(), view.value().num_stored_ids());
       return 0;
     }
-    auto ids = TraceIds(flags.Get("trace", ""));
-    if (!ids.ok()) return Fail(ids.status());
     return PrintEstimatesBatch(
-        ids.value(), block_size.value(),
+        flags, block_size,
         [&view](Span<const uint64_t> keys, Span<double> out) {
           view.value().EstimateBatch(keys, out);
         });
@@ -765,11 +667,9 @@ int RestoreBundle(const Flags& flags, const std::string& in, bool use_mmap) {
   }
   // Restored serving answers the same id-keyed queries the checkpointed
   // estimator would; featureless queries resolve through the stored table.
-  auto ids = TraceIds(flags.Get("trace", ""));
-  if (!ids.ok()) return Fail(ids.status());
   std::vector<stream::StreamItem> items;
   return PrintEstimatesBatch(
-      ids.value(), block_size.value(),
+      flags, block_size,
       [&bundle, &items](Span<const uint64_t> keys, Span<double> out) {
         items.resize(keys.size());
         for (size_t i = 0; i < keys.size(); ++i) {
@@ -780,81 +680,77 @@ int RestoreBundle(const Flags& flags, const std::string& in, bool use_mmap) {
       });
 }
 
-template <typename Sketch>
-int RestoreSketch(const Flags& flags, const std::string& in,
-                  const char* kind) {
-  const auto block_size = RestoreBlockSize(flags);
-  if (!block_size.ok()) return Fail(block_size.status());
-  auto sketch = io::LoadSketchSnapshot<Sketch>(in);
-  if (!sketch.ok()) return Fail(sketch.status());
-  ReportLoadMode(/*mmap=*/false);
+// A count-min checkpoint served zero-copy from the mapped file; the
+// count-min row is the table's only one with a mapped view.
+int RestoreMappedCountMin(const Flags& flags, const std::string& in,
+                          size_t block_size) {
+  auto view = io::MappedCountMinView::Open(in);
+  if (!view.ok()) return Fail(view.status());
+  ReportLoadMode(/*mmap=*/true);
   if (!flags.Has("trace")) {
-    std::printf("%s checkpoint restored from %s\n", kind, in.c_str());
+    std::printf("mapped count-min: %zux%zu counters, %llu arrivals\n",
+                view.value().depth(), view.value().width(),
+                static_cast<unsigned long long>(view.value().total_count()));
     return 0;
   }
-  auto ids = TraceIds(flags.Get("trace", ""));
-  if (!ids.ok()) return Fail(ids.status());
   return PrintEstimatesBatch(
-      ids.value(), block_size.value(),
-      [&sketch](Span<const uint64_t> keys, Span<double> out) {
-        EstimateBlockAsDouble(sketch.value(), keys, out);
+      flags, block_size,
+      [&view](Span<const uint64_t> keys, Span<double> out) {
+        sketch::EstimateBatchAsDouble(view.value(), keys, out);
       });
 }
 
 template <typename Sketch>
-int RestoreWindowedSketch(const Flags& flags, const std::string& in,
-                          const char* kind) {
-  const auto block_size = RestoreBlockSize(flags);
-  if (!block_size.ok()) return Fail(block_size.status());
-  auto ring = io::LoadWindowedSketchSnapshot<Sketch>(in);
-  if (!ring.ok()) return Fail(ring.status());
+int PrintRestored(const Flags& flags, const std::string& in,
+                  size_t block_size, const Sketch& sketch) {
+  ReportLoadMode(/*mmap=*/false);
+  const char* kind = io::SketchKindName<Sketch>();
+  if constexpr (!io::kSketchKindOf<Sketch>.per_key) {
+    // AMS answers only the stream-wide F2 moment.
+    if (flags.Has("trace")) {
+      std::fprintf(stderr,
+                   "note: %s estimates F2, not per-id counts; --trace "
+                   "ignored\n",
+                   kind);
+    }
+    std::printf("%s checkpoint restored from %s\nf2,%.2f\n", kind,
+                in.c_str(), sketch.EstimateF2());
+    return 0;
+  } else {
+    if (!flags.Has("trace")) {
+      std::printf("%s checkpoint restored from %s\n", kind, in.c_str());
+      return 0;
+    }
+    return PrintEstimatesBatch(
+        flags, block_size,
+        [&sketch](Span<const uint64_t> keys, Span<double> out) {
+          sketch::EstimateBatchAsDouble(sketch, keys, out);
+        });
+  }
+}
+
+template <typename Sketch>
+int PrintRestored(const Flags& flags, const std::string& in,
+                  size_t block_size,
+                  const sketch::WindowedSketch<Sketch>& ring) {
   ReportLoadMode(/*mmap=*/false);
   if (!flags.Has("trace")) {
     std::printf(
         "windowed %s checkpoint restored from %s: %zu windows x %llu "
         "items, sequence %llu, decay %.6f\n",
-        kind, in.c_str(), ring.value().num_windows(),
-        static_cast<unsigned long long>(ring.value().window_items()),
-        static_cast<unsigned long long>(ring.value().window_sequence()),
-        ring.value().decay());
+        io::SketchKindName<Sketch>(), in.c_str(), ring.num_windows(),
+        static_cast<unsigned long long>(ring.window_items()),
+        static_cast<unsigned long long>(ring.window_sequence()),
+        ring.decay());
     return 0;
   }
-  auto ids = TraceIds(flags.Get("trace", ""));
-  if (!ids.ok()) return Fail(ids.status());
   // WindowedSketch answers in double natively (decay weights are
   // fractional), so no raw-counter staging is needed.
   return PrintEstimatesBatch(
-      ids.value(), block_size.value(),
+      flags, block_size,
       [&ring](Span<const uint64_t> keys, Span<double> out) {
-        ring.value().EstimateBatch(keys, out);
+        ring.EstimateBatch(keys, out);
       });
-}
-
-// A windowed checkpoint's inner section decides the sub-sketch kind,
-// exactly like the resume dispatch in CmdSnapshot.
-int RestoreWindowed(const Flags& flags, const std::string& in) {
-  auto inner = io::WindowedInnerTypeOfFile(in);
-  if (!inner.ok()) return Fail(inner.status());
-  switch (inner.value()) {
-    case io::SectionType::kCountMinSketch:
-      return RestoreWindowedSketch<sketch::CountMinSketch>(flags, in,
-                                                           "count-min");
-    case io::SectionType::kCountSketch:
-      return RestoreWindowedSketch<sketch::CountSketch>(flags, in,
-                                                        "count-sketch");
-    case io::SectionType::kLearnedCountMin:
-      return RestoreWindowedSketch<sketch::LearnedCountMinSketch>(
-          flags, in, "learned-count-min");
-    case io::SectionType::kMisraGries:
-      return RestoreWindowedSketch<sketch::MisraGries>(flags, in,
-                                                       "misra-gries");
-    case io::SectionType::kSpaceSaving:
-      return RestoreWindowedSketch<sketch::SpaceSaving>(flags, in,
-                                                        "space-saving");
-    default:
-      return Fail(Status::InvalidArgument(
-          in + " wraps a sub-sketch kind without per-key estimates"));
-  }
 }
 
 int CmdRestore(const Flags& flags) {
@@ -864,95 +760,50 @@ int CmdRestore(const Flags& flags) {
   const auto mmap_flag = flags.GetUint("mmap", 0);
   if (!mmap_flag.ok()) return Fail(mmap_flag.status());
   const bool use_mmap = mmap_flag.value() != 0;
+  const auto block_size = flags.GetUint("block-size", 4096);
+  if (!block_size.ok()) return Fail(block_size.status());
+  if (block_size.value() == 0) {
+    return Fail(Status::InvalidArgument("--block-size must be >= 1"));
+  }
+  const size_t block = static_cast<size_t>(block_size.value());
   const std::string in = flags.Get("in", "");
 
+  // Zero-copy serving exists only for count-min checkpoints and binary
+  // model bundles: every other artifact downgrades to a full load with a
+  // notice (the daemon's contract too), and the `load mode:` line always
+  // reports what actually happened.
+  const auto fall_back = [](const char* what) {
+    std::fprintf(stderr, "note: mmap unsupported for %s, loading fully\n",
+                 what);
+  };
   auto format = io::DetectFileFormat(in);
   if (!format.ok()) return Fail(format.status());
   if (format.value() == io::SnapshotFormat::kText) {
-    if (use_mmap) {
-      return Fail(Status::InvalidArgument(
-          "--mmap needs a binary snapshot; this is a text bundle"));
-    }
-    return RestoreBundle(flags, in, /*use_mmap=*/false);
+    if (use_mmap) fall_back("text bundles");
+    return RestoreBundle(flags, in, /*use_mmap=*/false, block);
   }
 
   auto sections = io::ListSnapshotSections(in);
   if (!sections.ok()) return Fail(sections.status());
   if (sections.value().size() == 1) {
     const io::SectionType section = sections.value().front();
-    // Zero-copy serving exists only for count-min checkpoints and model
-    // bundles (PR 3 gap, now explicit): every other kind downgrades to a
-    // full load with a notice, and the `load mode:` line always reports
-    // what actually happened.
-    const bool mmap_fallback = use_mmap && !io::MmapServingSupported(section);
-    const auto notice = [&](const char* kind) {
-      if (mmap_fallback) {
-        std::fprintf(stderr, "note: mmap unsupported for %s, loading fully\n",
-                     kind);
+    const bool windowed = section == io::SectionType::kWindowedSketch;
+    if (windowed ||
+        io::VisitSketchKind(section, [](auto) { return true; }).has_value()) {
+      if (use_mmap && io::MmapServingSupported(section)) {
+        return RestoreMappedCountMin(flags, in, block);
       }
-    };
-    switch (section) {
-      case io::SectionType::kCountMinSketch: {
-        if (!use_mmap) {
-          return RestoreSketch<sketch::CountMinSketch>(flags, in,
-                                                       "count-min");
-        }
-        const auto block_size = RestoreBlockSize(flags);
-        if (!block_size.ok()) return Fail(block_size.status());
-        auto view = io::MappedCountMinView::Open(in);
-        if (!view.ok()) return Fail(view.status());
-        ReportLoadMode(/*mmap=*/true);
-        if (!flags.Has("trace")) {
-          std::printf(
-              "mapped count-min: %zux%zu counters, %llu arrivals\n",
-              view.value().depth(), view.value().width(),
-              static_cast<unsigned long long>(view.value().total_count()));
-          return 0;
-        }
-        auto ids = TraceIds(flags.Get("trace", ""));
-        if (!ids.ok()) return Fail(ids.status());
-        return PrintEstimatesBatch(
-            ids.value(), block_size.value(),
-            [&view](Span<const uint64_t> keys, Span<double> out) {
-              EstimateBlockAsDouble(view.value(), keys, out);
-            });
+      if (use_mmap) {
+        fall_back(windowed ? "windowed checkpoints"
+                           : io::SectionTypeName(section));
       }
-      case io::SectionType::kCountSketch:
-        notice("count-sketch");
-        return RestoreSketch<sketch::CountSketch>(flags, in, "count-sketch");
-      case io::SectionType::kAmsSketch: {
-        notice("ams");
-        auto ams = io::LoadSketchSnapshot<sketch::AmsSketch>(in);
-        if (!ams.ok()) return Fail(ams.status());
-        ReportLoadMode(/*mmap=*/false);
-        if (flags.Has("trace")) {
-          std::fprintf(stderr,
-                       "note: ams estimates F2, not per-id counts; "
-                       "--trace ignored\n");
-        }
-        std::printf("ams checkpoint restored from %s\nf2,%.2f\n", in.c_str(),
-                    ams.value().EstimateF2());
-        return 0;
-      }
-      case io::SectionType::kLearnedCountMin:
-        notice("learned-count-min");
-        return RestoreSketch<sketch::LearnedCountMinSketch>(
-            flags, in, "learned-count-min");
-      case io::SectionType::kMisraGries:
-        notice("misra-gries");
-        return RestoreSketch<sketch::MisraGries>(flags, in, "misra-gries");
-      case io::SectionType::kSpaceSaving:
-        notice("space-saving");
-        return RestoreSketch<sketch::SpaceSaving>(flags, in, "space-saving");
-      case io::SectionType::kWindowedSketch:
-        notice("windowed checkpoints");
-        return RestoreWindowed(flags, in);
-      default:
-        break;
+      return WithCheckpoint(in, section, [&](auto loaded) {
+        return PrintRestored(flags, in, block, loaded);
+      });
     }
   }
   // Multi-section binary files are model bundles.
-  return RestoreBundle(flags, in, use_mmap);
+  return RestoreBundle(flags, in, use_mmap, block);
 }
 
 // Offline heavy hitters over any servable artifact, answered through the
