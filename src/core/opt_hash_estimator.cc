@@ -174,13 +174,17 @@ Result<OptHashEstimator> OptHashEstimator::Train(
 int32_t OptHashEstimator::BucketOf(const stream::StreamItem& item) const {
   auto it = table_.find(item.id);
   if (it != table_.end()) return it->second;
-  if (classifier_ != nullptr && item.features != nullptr) {
-    const int bucket = classifier_->Predict(*item.features);
-    OPTHASH_CHECK_GE(bucket, 0);
-    OPTHASH_CHECK_LT(static_cast<size_t>(bucket), bucket_freq_.size());
-    return bucket;
-  }
-  return -1;
+  if (item.features == nullptr) return -1;
+  return ClassifierBucket(*item.features);
+}
+
+int32_t OptHashEstimator::ClassifierBucket(
+    const std::vector<double>& features) const {
+  if (classifier_ == nullptr) return -1;
+  const int bucket = classifier_->Predict(features);
+  OPTHASH_CHECK_GE(bucket, 0);
+  OPTHASH_CHECK_LT(static_cast<size_t>(bucket), bucket_freq_.size());
+  return bucket;
 }
 
 void OptHashEstimator::Update(const stream::StreamItem& item) {
@@ -236,11 +240,15 @@ void OptHashEstimator::ClassifyPendingRows(OptHashQueryWorkspace& ws) const {
                             Span<int>(ws.predictions.data(),
                                       ws.predictions.size()));
   for (size_t p = 0; p < ws.pending.size(); ++p) {
-    const int bucket = ws.predictions[p];
-    OPTHASH_CHECK_GE(bucket, 0);
-    OPTHASH_CHECK_LT(static_cast<size_t>(bucket), bucket_freq_.size());
-    ws.buckets[ws.pending[p]] = bucket;
+    RouteToBucket(ws, ws.pending[p], ws.predictions[p]);
   }
+}
+
+void OptHashEstimator::RouteToBucket(OptHashQueryWorkspace& ws, size_t i,
+                                     int bucket) const {
+  OPTHASH_CHECK_GE(bucket, 0);
+  OPTHASH_CHECK_LT(static_cast<size_t>(bucket), bucket_freq_.size());
+  ws.buckets[i] = bucket;
 }
 
 void OptHashEstimator::GatherEstimates(const OptHashQueryWorkspace& ws,
@@ -332,6 +340,16 @@ size_t OptHashEstimator::MemoryBuckets() const {
   // b buckets plus one bucket per stored ID (§7.3: "just storing their IDs
   // would require 200,000 buckets").
   return bucket_freq_.size() + table_.size();
+}
+
+Status OptHashEstimator::CheckClassifierFitsBuckets() const {
+  if (classifier_ != nullptr && classifier_->NumClasses() > num_buckets()) {
+    return Status::InvalidArgument(
+        "classifier predicts " + std::to_string(classifier_->NumClasses()) +
+        " classes but the estimator has " + std::to_string(num_buckets()) +
+        " buckets");
+  }
+  return Status::OK();
 }
 
 namespace {
@@ -441,6 +459,7 @@ Result<OptHashEstimator> OptHashEstimator::Deserialize(
     return Status::InvalidArgument("unknown classifier kind: " +
                                    classifier_name);
   }
+  OPTHASH_IO_RETURN_IF_ERROR(estimator.CheckClassifierFitsBuckets());
 
   estimator.training_info_.num_sampled_elements = table_size;
   estimator.training_info_.num_buckets = num_buckets;
@@ -566,6 +585,7 @@ Result<OptHashEstimator> OptHashEstimator::DeserializeBinary(
   if (kind != ClassifierKind::kNone) {
     OPTHASH_IO_RETURN_IF_ERROR(classifier.ExpectFullyConsumed());
   }
+  OPTHASH_IO_RETURN_IF_ERROR(estimator.CheckClassifierFitsBuckets());
   estimator.classifier_kind_ = kind;
   estimator.training_info_.num_sampled_elements = table_size;
   estimator.training_info_.num_buckets = num_buckets;

@@ -152,22 +152,47 @@ class OptHashEstimator : public FrequencyEstimator {
   void EstimateBatch(Span<const stream::StreamItem> items, Span<double> out,
                      OptHashQueryWorkspace& ws) const;
 
+  /// What a `route_miss` callback of EstimateBatchLazy returns for a miss
+  /// only its features can route.
+  static constexpr int32_t kClassifyMiss = -2;
+
   /// Batched point queries with *lazy* featurization, for callers that
   /// derive features from query payloads on demand (io::BundleQueryEngine
-  /// featurizes query text): the learned table routes every id first and
-  /// `fill_features(i, row)` is invoked exactly once per id the table
-  /// cannot resolve — writing that query's `feature_dim` doubles straight
-  /// into the workspace's gathered feature matrix — so resolved ids never
-  /// pay featurization and each table probe happens once. Without a
-  /// classifier, unresolved ids estimate 0 and `fill_features` is never
-  /// invoked. Answers are element-wise identical to EstimateBatch over
-  /// items carrying the same features.
-  template <typename FeatureFn>
+  /// featurizes query text). The learned table routes every id first, so
+  /// each table probe happens once and resolved ids never pay
+  /// featurization. Each id the table cannot resolve is then routed on
+  /// its own row by `route_miss(i)`, invoked exactly once per such id:
+  ///   - a bucket in [0, num_buckets()) is taken as is — the caller
+  ///     already knows where the query classifies (BundleQueryEngine's
+  ///     precomputed blank-payload bucket);
+  ///   - kClassifyMiss defers the row to the classifier:
+  ///     `fill_features(i, row)` writes that query's `feature_dim` doubles
+  ///     straight into the workspace's gathered feature matrix, and all
+  ///     deferred rows are classified in one PredictBatch call.
+  /// Without a classifier, unresolved ids estimate 0 and neither callback
+  /// is invoked. Answers are element-wise identical to EstimateBatch over
+  /// items carrying the same features, provided every bucket `route_miss`
+  /// returns is ClassifierBucket of that query's features.
+  template <typename RouteMissFn, typename FeatureFn>
   void EstimateBatchLazy(Span<const uint64_t> ids, size_t feature_dim,
                          Span<double> out, OptHashQueryWorkspace& ws,
+                         RouteMissFn route_miss,
                          FeatureFn fill_features) const {
     OPTHASH_CHECK_EQ(ids.size(), out.size());
     RouteTableOnly(ids, ws);
+    // Misses the caller routes take their bucket now; the rest stay in
+    // ws.pending, compacted in place, for the featurize-and-classify pass.
+    size_t deferred = 0;
+    for (size_t p = 0; p < ws.pending.size(); ++p) {
+      const size_t i = ws.pending[p];
+      const int32_t bucket = route_miss(i);
+      if (bucket == kClassifyMiss) {
+        ws.pending[deferred++] = i;
+      } else {
+        RouteToBucket(ws, i, bucket);
+      }
+    }
+    ws.pending.resize(deferred);
     if (!ws.pending.empty()) {
       ws.features.Reshape(ws.pending.size(), feature_dim);
       for (size_t p = 0; p < ws.pending.size(); ++p) {
@@ -185,6 +210,10 @@ class OptHashEstimator : public FrequencyEstimator {
   /// Bucket the item routes to: hash table first, classifier fallback;
   /// -1 when neither applies (no classifier and unseen ID).
   int32_t BucketOf(const stream::StreamItem& item) const;
+
+  /// Bucket the classifier assigns to a feature row — the route of an
+  /// unseen id carrying these features; -1 without a classifier.
+  int32_t ClassifierBucket(const std::vector<double>& features) const;
 
   /// Pass 1 of the batched query path: fills ws.buckets (resized to
   /// items.size()) with BucketOf of every item, batching the table probes
@@ -238,11 +267,18 @@ class OptHashEstimator : public FrequencyEstimator {
   // ClassifyPendingRows expects ws.features filled with one row per
   // pending index and resolves them through one PredictBatch call;
   // GatherEstimates turns ws.buckets into bucket-average answers.
+  // RouteToBucket records a classifier-side bucket for item i after
+  // checking it names one of this estimator's buckets.
   void RouteTableOnly(Span<const uint64_t> ids,
                       OptHashQueryWorkspace& ws) const;
   void ClassifyPendingRows(OptHashQueryWorkspace& ws) const;
+  void RouteToBucket(OptHashQueryWorkspace& ws, size_t i, int bucket) const;
   void GatherEstimates(const OptHashQueryWorkspace& ws,
                        Span<double> out) const;
+
+  // Load-time guard shared by both deserializers: the classifier's labels
+  // index buckets, so it must not predict more classes than there are.
+  Status CheckClassifierFitsBuckets() const;
 
   std::unordered_map<uint64_t, int32_t> table_;
   std::vector<double> bucket_freq_;   // phi_j

@@ -144,26 +144,56 @@ Result<ModelBundle> LoadBinaryBundle(const std::string& path) {
 Result<ModelBundle> LoadModelBundle(const std::string& path) {
   auto format = DetectFileFormat(path);
   if (!format.ok()) return format.status();
-  return format.value() == SnapshotFormat::kBinary ? LoadBinaryBundle(path)
-                                                   : LoadTextBundle(path);
+  auto bundle = format.value() == SnapshotFormat::kBinary
+                    ? LoadBinaryBundle(path)
+                    : LoadTextBundle(path);
+  if (!bundle.ok()) return bundle;
+  // The classifier reads the featurizer's rows; a mismatch would abort
+  // the first query that needs it (a BundleQueryEngine classifies the
+  // blank payload as soon as it is built), so it is a load error.
+  const ml::Classifier* classifier = bundle.value().estimator->classifier();
+  const size_t dim = bundle.value().featurizer.FeatureDim();
+  if (classifier != nullptr && classifier->NumFeatures() != dim) {
+    return Status::InvalidArgument(
+        path + ": classifier reads " +
+        std::to_string(classifier->NumFeatures()) +
+        " features but the featurizer writes " + std::to_string(dim));
+  }
+  return bundle;
 }
 
-BundleQueryEngine::BundleQueryEngine(const ModelBundle& bundle)
-    : bundle_(bundle) {
+namespace {
+// The blank payload featurizes to the same row on every call, so the
+// classifier's bucket for it is a constant of the bundle.
+int32_t BlankPayloadBucket(const ModelBundle& bundle) {
   OPTHASH_CHECK_MSG(bundle.estimator.has_value(),
                     "BundleQueryEngine needs a bundle with an estimator");
+  if (bundle.estimator->classifier() == nullptr) {
+    return core::OptHashEstimator::kClassifyMiss;  // Never consulted.
+  }
+  return bundle.estimator->ClassifierBucket(bundle.featurizer.Featurize(""));
 }
+}  // namespace
+
+BundleQueryEngine::BundleQueryEngine(const ModelBundle& bundle)
+    : bundle_(bundle), blank_bucket_(BlankPayloadBucket(bundle)) {}
 
 void BundleQueryEngine::EstimateBlock(
     Span<const stream::TraceRecord> queries, Span<double> out) {
   OPTHASH_CHECK_EQ(queries.size(), out.size());
   ids_.resize(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) ids_[i] = queries[i].id;
-  // The lazy path probes the table once per id and calls back only for
-  // the misses, which featurize straight into the workspace's matrix.
+  // The lazy path probes the table once per id and routes the misses row
+  // by row: blank ones take the precomputed bucket, texted ones featurize
+  // straight into the workspace's matrix for one batched classification.
   bundle_.estimator->EstimateBatchLazy(
       Span<const uint64_t>(ids_.data(), ids_.size()),
       bundle_.featurizer.FeatureDim(), out, workspace_,
+      [this, &queries](size_t i) {
+        return queries[i].text.empty()
+                   ? blank_bucket_
+                   : core::OptHashEstimator::kClassifyMiss;
+      },
       [this, &queries](size_t i, Span<double> row) {
         bundle_.featurizer.Featurize(queries[i].text, row);
       });

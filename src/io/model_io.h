@@ -49,23 +49,32 @@ Status SaveModelBundle(const std::string& path, const ModelBundle& bundle,
 Result<SnapshotFormat> DetectFileFormat(const std::string& path);
 
 /// Loads a bundle in either format (auto-detected), with full CRC
-/// verification on the binary path.
+/// verification on the binary path. A classifier that does not fit its
+/// bundle — reading other than FeatureDim() features, predicting more
+/// classes than there are buckets, or (rf) holding a tree that disagrees
+/// with its forest — is InvalidArgument here, never an abort at query
+/// time.
 Result<ModelBundle> LoadModelBundle(const std::string& path);
 
 /// \brief Batched query pipeline over a loaded model bundle — the serving
-/// read side of the paper's workflow, shared by `opthash_cli query` and
+/// read side of the paper's workflow, shared by `opthash_cli query`, the
+/// daemon's bundle adapter (key-only queries are blank-text records) and
 /// bench_query_throughput.
 ///
 /// EstimateBlock answers one block of (id, text) queries through the
-/// estimator's lazy batch path (OptHashEstimator::EstimateBatchLazy).
-/// Two properties make it fast in steady state: each id probes the
-/// learned table exactly once and is featurized only when the table
-/// cannot resolve it (a table hit wins before the classifier is
-/// consulted, so its features would be dead work — under a skewed query
-/// mix most lookups skip the featurizer entirely, and the misses
-/// featurize straight into the workspace's feature matrix), and all
-/// scratch is reused across blocks, so a warm engine performs no heap
-/// allocation per block. Answers are element-wise identical to
+/// estimator's lazy batch path (OptHashEstimator::EstimateBatchLazy),
+/// routing each row on its own:
+///   - a table hit takes its stored bucket and is never featurized (a
+///     hit wins before the classifier is consulted, so its features
+///     would be dead work);
+///   - a blank-text miss takes the blank-payload bucket. The blank
+///     payload featurizes to the same row on every call, so the
+///     constructor classifies it once, and blank misses never featurize
+///     or run the classifier;
+///   - a texted miss featurizes straight into the workspace's feature
+///     matrix, and the block's texted misses are classified in one batch.
+/// All scratch is reused across blocks, so a warm engine performs no
+/// heap allocation per block. Answers are element-wise identical to
 /// featurizing every query and calling Estimate one by one.
 ///
 /// Holds a reference to the bundle (which must outlive the engine) and
@@ -81,6 +90,9 @@ class BundleQueryEngine {
 
  private:
   const ModelBundle& bundle_;
+  // Classifier bucket of the blank payload (kClassifyMiss without a
+  // classifier, where no miss is ever routed).
+  int32_t blank_bucket_;
   std::vector<uint64_t> ids_;
   core::OptHashQueryWorkspace workspace_;
 };

@@ -70,6 +70,12 @@ class Classifier {
   /// Human-readable model name (for experiment tables).
   virtual const char* Name() const = 0;
 
+  /// Shape of the fitted model: the feature-row length it reads, and the
+  /// label range [0, NumClasses()) its predictions lie in. Loaders check
+  /// both against the artifact the model is deployed in.
+  virtual size_t NumFeatures() const = 0;
+  virtual size_t NumClasses() const = 0;
+
   /// Batch helper.
   std::vector<int> PredictBatch(const Dataset& data) const {
     std::vector<int> predictions(data.NumExamples());

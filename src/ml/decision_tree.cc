@@ -243,6 +243,11 @@ Result<DecisionTree> DecisionTree::DeserializeFrom(std::istream& in) {
       return Status::InvalidArgument("truncated decision tree nodes");
     }
     node.is_leaf = is_leaf != 0;
+    // Same label bound as the binary reader: a label past the class count
+    // would abort Predict's bounds CHECK later.
+    if (node.label < 0 || static_cast<size_t>(node.label) >= num_classes) {
+      return Status::InvalidArgument("decision tree label out of range");
+    }
     const auto count = static_cast<int32_t>(node_count);
     if (!node.is_leaf &&
         (node.left < 0 || node.right < 0 || node.left >= count ||

@@ -49,6 +49,8 @@ class DecisionTree : public Classifier {
   using Classifier::PredictBatch;
 
   const char* Name() const override { return "cart"; }
+  size_t NumFeatures() const override { return num_features_; }
+  size_t NumClasses() const override { return num_classes_; }
 
   /// Number of nodes in the fitted tree (leaves + internal).
   size_t NodeCount() const { return nodes_.size(); }

@@ -48,6 +48,8 @@ class LogisticRegression : public Classifier {
   using Classifier::PredictBatch;
 
   const char* Name() const override { return "logreg"; }
+  size_t NumFeatures() const override { return num_features_; }
+  size_t NumClasses() const override { return num_classes_; }
 
   /// Class probabilities for one example (softmax outputs).
   std::vector<double> PredictProba(const std::vector<double>& features) const;

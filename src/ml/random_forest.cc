@@ -55,15 +55,30 @@ int RandomForest::Predict(const std::vector<double>& features) const {
 }
 
 int RandomForest::PredictRow(const double* features) const {
-  thread_local std::vector<size_t> votes;
-  votes.assign(num_classes_, 0);
+  // Only num_trees labels are ever cast, so the votes are counted over
+  // those labels sorted rather than over a per-class array (on a bundle
+  // the classes are buckets): the longest run of equal labels wins, and
+  // the ascending scan keeps the smallest label among equally long runs.
+  thread_local std::vector<int> labels;
+  labels.clear();
   for (const DecisionTree& tree : trees_) {
     const int label = tree.PredictRow(features);
     OPTHASH_CHECK_LT(static_cast<size_t>(label), num_classes_);
-    ++votes[static_cast<size_t>(label)];
+    labels.push_back(label);
   }
-  return static_cast<int>(
-      std::max_element(votes.begin(), votes.end()) - votes.begin());
+  std::sort(labels.begin(), labels.end());
+  int winner = labels.front();
+  size_t winner_votes = 0;
+  for (size_t begin = 0; begin < labels.size();) {
+    size_t end = begin + 1;
+    while (end < labels.size() && labels[end] == labels[begin]) ++end;
+    if (end - begin > winner_votes) {
+      winner = labels[begin];
+      winner_votes = end - begin;
+    }
+    begin = end;
+  }
+  return winner;
 }
 
 void RandomForest::PredictBatch(const Matrix& rows, Span<int> out) const {
@@ -78,6 +93,25 @@ void RandomForest::PredictBatch(const Matrix& rows, Span<int> out) const {
 
 namespace {
 constexpr const char* kForestMagic = "opthash.rf.v1";
+
+// Every tree reads the forest's feature rows. A tree's label space may
+// be smaller than the forest's (a bootstrap sample can miss the highest
+// label, see Fit) but never larger, or its votes would index past the
+// forest's classes.
+Status CheckTreeFitsForest(const DecisionTree& tree, size_t num_features,
+                           size_t num_classes) {
+  if (tree.NumFeatures() != num_features) {
+    return Status::InvalidArgument(
+        "rf tree reads " + std::to_string(tree.NumFeatures()) +
+        " features but the forest has " + std::to_string(num_features));
+  }
+  if (tree.NumClasses() > num_classes) {
+    return Status::InvalidArgument(
+        "rf tree predicts " + std::to_string(tree.NumClasses()) +
+        " classes but the forest has " + std::to_string(num_classes));
+  }
+  return Status::OK();
+}
 }  // namespace
 
 void RandomForest::SerializeTo(std::ostream& out) const {
@@ -114,6 +148,8 @@ Result<RandomForest> RandomForest::DeserializeFrom(std::istream& in) {
   for (size_t t = 0; t < num_trees; ++t) {
     Result<DecisionTree> tree = DecisionTree::DeserializeFrom(in);
     if (!tree.ok()) return tree.status();
+    OPTHASH_IO_RETURN_IF_ERROR(
+        CheckTreeFitsForest(tree.value(), num_features, num_classes));
     forest.trees_.push_back(std::move(tree).value());
   }
   forest.fitted_ = true;
@@ -167,6 +203,8 @@ Result<RandomForest> RandomForest::DeserializeBinary(io::ByteReader& in) {
   for (uint64_t t = 0; t < num_trees; ++t) {
     auto tree = DecisionTree::DeserializeBinary(in);
     if (!tree.ok()) return tree.status();
+    OPTHASH_IO_RETURN_IF_ERROR(
+        CheckTreeFitsForest(tree.value(), num_features, num_classes));
     forest.trees_.push_back(std::move(tree).value());
   }
   forest.fitted_ = true;

@@ -46,6 +46,8 @@ class RandomForest : public Classifier {
   using Classifier::PredictBatch;
 
   const char* Name() const override { return "rf"; }
+  size_t NumFeatures() const override { return num_features_; }
+  size_t NumClasses() const override { return num_classes_; }
 
   /// Average of per-tree impurity importances.
   std::vector<double> FeatureImportances() const;

@@ -382,6 +382,33 @@ TEST(EstimateBatchTest, BundleQueryEngineMatchesScalarFeaturizePath) {
           << "block " << block << " index " << i;
     }
   }
+  // Blocks mixing blank and texted rows over hits and misses: each row is
+  // routed on its own (blank misses take the engine's precomputed
+  // blank-payload bucket, texted misses are featurized), whatever its
+  // neighbours, so every block size still matches the scalar path.
+  std::vector<stream::TraceRecord> mixed;
+  for (size_t i = 0; i < 333; ++i) {
+    const char* text = i % 3 == 0   ? ""
+                       : i % 3 == 1 ? "heavy heavy words"
+                                    : "tail words";
+    mixed.push_back({90 + rng.NextBounded(60), text});
+  }
+  std::vector<double> mixed_answers(mixed.size());
+  for (const size_t block : {1u, 2u, 7u, 64u, 333u}) {
+    for (size_t base = 0; base < mixed.size(); base += block) {
+      const size_t n = std::min(block, mixed.size() - base);
+      engine.EstimateBlock(
+          Span<const stream::TraceRecord>(mixed.data() + base, n),
+          Span<double>(mixed_answers.data() + base, n));
+    }
+    for (size_t i = 0; i < mixed.size(); ++i) {
+      const std::vector<double> features =
+          bundle.featurizer.Featurize(mixed[i].text);
+      ASSERT_EQ(mixed_answers[i],
+                bundle.estimator->Estimate({mixed[i].id, &features}))
+          << "mixed block " << block << " index " << i;
+    }
+  }
   // Empty block edge.
   engine.EstimateBlock(Span<const stream::TraceRecord>(), Span<double>());
 }

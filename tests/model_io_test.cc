@@ -219,6 +219,158 @@ TEST(ModelIoTest, DeserializedBundleKeepsCounting) {
               1e-9);
 }
 
+// ---- Load-time shape checks: a classifier must fit its bundle. ----------
+// Crafted payloads use single-leaf trees voting a fixed label, in the
+// text and the binary encoding.
+
+std::string LeafTreeText(size_t features, size_t classes, int label) {
+  return "opthash.cart.v1 " + std::to_string(features) + " " +
+         std::to_string(classes) + " 1\n1 0 0 -1 -1 " +
+         std::to_string(label) + " 0 1\n";
+}
+
+void WriteLeafTree(ByteWriter& out, uint64_t features, uint64_t classes,
+                   int32_t label) {
+  out.WriteU32(1);  // payload version
+  out.WriteU32(0);  // reserved
+  out.WriteU64(features);
+  out.WriteU64(classes);
+  out.WriteU64(1);  // node_count
+  out.WriteU64(0);  // node: feature
+  out.WriteDouble(0.0);
+  out.WriteI32(-1);  // left
+  out.WriteI32(-1);  // right
+  out.WriteI32(label);
+  out.WriteU32(1);  // flags: leaf
+  out.WriteDouble(0.0);
+  out.WriteU64(1);  // num_samples
+}
+
+// A forest of `features` x `classes` holding one tree of the given shape.
+Status LoadForestText(size_t features, size_t classes, size_t tree_features,
+                      size_t tree_classes) {
+  return ml::RandomForest::Deserialize(
+             "opthash.rf.v1 " + std::to_string(classes) + " " +
+             std::to_string(features) + " 1\n" +
+             LeafTreeText(tree_features, tree_classes, 0))
+      .status();
+}
+
+Status LoadForestBinary(uint64_t features, uint64_t classes,
+                        uint64_t tree_features, uint64_t tree_classes) {
+  ByteWriter out;
+  out.WriteU32(1);  // payload version
+  out.WriteU32(0);  // reserved
+  out.WriteU64(classes);
+  out.WriteU64(features);
+  out.WriteU64(1);  // num_trees
+  WriteLeafTree(out, tree_features, tree_classes, 0);
+  ByteReader in(out.bytes().data(), out.size());
+  return ml::RandomForest::DeserializeBinary(in).status();
+}
+
+TEST(ModelIoTest, ForestRejectsTreeThatDisagreesWithItsForest) {
+  for (const auto load : {LoadForestText, LoadForestBinary}) {
+    // A tree reading more features than the forest's rows hold would read
+    // past every row; fewer is just as corrupt.
+    EXPECT_FALSE(load(2, 3, 3, 3).ok());
+    EXPECT_FALSE(load(2, 3, 1, 3).ok());
+    // A tree voting past the forest's classes.
+    EXPECT_FALSE(load(2, 3, 2, 5).ok());
+    // A bootstrap sample can miss the highest label, so a tree with fewer
+    // classes than its forest is a valid trained shape.
+    EXPECT_TRUE(load(2, 3, 2, 2).ok());
+    EXPECT_TRUE(load(2, 3, 2, 3).ok());
+  }
+}
+
+TEST(ModelIoTest, TextTreeRejectsOutOfRangeLabel) {
+  EXPECT_FALSE(ml::DecisionTree::Deserialize(LeafTreeText(1, 2, 7)).ok());
+  EXPECT_FALSE(ml::DecisionTree::Deserialize(LeafTreeText(1, 2, -1)).ok());
+  EXPECT_TRUE(ml::DecisionTree::Deserialize(LeafTreeText(1, 2, 1)).ok());
+}
+
+// An estimator of `buckets` buckets, no stored ids, whose cart classifier
+// predicts `classes` classes.
+Status LoadCartEstimatorText(size_t buckets, size_t classes) {
+  std::string blob =
+      "opthash.estimator.v1 " + std::to_string(buckets) + " 0 cart\n";
+  for (int array = 0; array < 2; ++array) {
+    for (size_t j = 0; j < buckets; ++j) blob += "1 ";
+    blob += "\n";
+  }
+  return core::OptHashEstimator::Deserialize(blob + LeafTreeText(1, classes, 0))
+      .status();
+}
+
+Status LoadCartEstimatorBinary(uint64_t buckets, uint64_t classes) {
+  ByteWriter tree;
+  WriteLeafTree(tree, 1, classes, 0);
+  ByteWriter out;
+  out.WriteU32(1);  // payload version
+  out.WriteU32(static_cast<uint32_t>(core::ClassifierKind::kCart));
+  out.WriteU64(buckets);
+  out.WriteU64(0);  // table_size
+  const std::vector<double> ones(buckets, 1.0);
+  out.WriteDoubleArray(ones);  // phi_j
+  out.WriteDoubleArray(ones);  // c_j
+  out.AlignTo(8);
+  out.WriteU64(tree.size());
+  out.WriteBytes(tree.bytes().data(), tree.size());
+  ByteReader in(out.bytes().data(), out.size());
+  return core::OptHashEstimator::DeserializeBinary(in).status();
+}
+
+TEST(ModelIoTest, EstimatorRejectsClassifierWithMoreClassesThanBuckets) {
+  for (const auto load : {LoadCartEstimatorText, LoadCartEstimatorBinary}) {
+    const Status rejected = load(2, 5);
+    EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rejected.message().find("buckets"), std::string::npos)
+        << rejected.ToString();
+    EXPECT_TRUE(load(2, 2).ok());
+    EXPECT_TRUE(load(4, 2).ok());
+  }
+}
+
+TEST(ModelIoTest, LoadRejectsClassifierReadingOtherThanFeaturizerRows) {
+  // The estimator's classifier learns 1-feature rows, but the featurizer
+  // writes FeatureDim() = 20: every miss would abort in Predict.
+  for (const auto classifier :
+       {core::ClassifierKind::kLogisticRegression, core::ClassifierKind::kCart,
+        core::ClassifierKind::kRandomForest}) {
+    core::OptHashConfig config;
+    config.total_buckets = 40;
+    config.id_ratio = 0.5;
+    config.solver = core::SolverKind::kDp;
+    config.classifier = classifier;
+    std::vector<core::PrefixElement> prefix;
+    for (uint64_t i = 0; i < 24; ++i) {
+      prefix.push_back({.id = 100 + i,
+                        .frequency = i < 12 ? 50.0 : 3.0,
+                        .features = {i < 12 ? 2.0 : -2.0}});
+    }
+    auto trained = core::OptHashEstimator::Train(config, prefix);
+    ASSERT_TRUE(trained.ok());
+    ModelBundle bundle;
+    bundle.featurizer = stream::BagOfWordsFeaturizer(16);
+    bundle.featurizer.Fit({{"alpha beta", 5.0}});
+    bundle.estimator = std::move(trained).value();
+    ASSERT_NE(bundle.featurizer.FeatureDim(), 1u);
+    for (const auto format : {SnapshotFormat::kText, SnapshotFormat::kBinary}) {
+      const std::string path =
+          ::testing::TempDir() + "/model_io_dim_" +
+          core::ClassifierKindName(classifier) + "." +
+          SnapshotFormatName(format);
+      ASSERT_TRUE(SaveModelBundle(path, bundle, format).ok());
+      auto loaded = LoadModelBundle(path);
+      ASSERT_FALSE(loaded.ok()) << path;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(loaded.status().message().find("features"), std::string::npos)
+          << loaded.status().ToString();
+    }
+  }
+}
+
 TEST(MappedEstimatorViewTest, StoredIdQueriesMatchFullLoad) {
   const ModelBundle bundle =
       TrainedBundle(core::ClassifierKind::kRandomForest, 25);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "ml/metrics.h"
 
@@ -104,6 +109,84 @@ TEST(RandomForestTest, MaxFeaturesDefaultsToSqrt) {
   const int label = forest.Predict(data.Features(0));
   EXPECT_GE(label, 0);
   EXPECT_LT(label, 2);
+}
+
+// The forest's trees, rebuilt on their own from its text serialization,
+// so the reference vote below does not go through RandomForest at all.
+std::vector<DecisionTree> TreesOf(const RandomForest& forest) {
+  std::istringstream in(forest.Serialize());
+  std::string magic;
+  size_t num_classes = 0;
+  size_t num_features = 0;
+  size_t num_trees = 0;
+  in >> magic >> num_classes >> num_features >> num_trees;
+  std::vector<DecisionTree> trees;
+  for (size_t t = 0; t < num_trees; ++t) {
+    auto tree = DecisionTree::DeserializeFrom(in);
+    EXPECT_TRUE(tree.ok());
+    trees.push_back(std::move(tree).value());
+  }
+  return trees;
+}
+
+// Per-class vote counts: the smallest label among the most-voted wins.
+std::vector<size_t> Votes(const std::vector<DecisionTree>& trees,
+                          size_t num_classes, const std::vector<double>& row) {
+  std::vector<size_t> votes(num_classes, 0);
+  for (const DecisionTree& tree : trees) {
+    ++votes[static_cast<size_t>(tree.Predict(row))];
+  }
+  return votes;
+}
+
+TEST(RandomForestTest, PredictRowMatchesPerClassVoteCount) {
+  // Few trees over many overlapping classes: votes split often, so the
+  // random rows include plenty of ties between the top labels.
+  const Dataset data = NoisyBlobs(40, 6, 2.5, 8);
+  Rng rng(9);
+  size_t ties = 0;
+  for (const size_t num_trees : {2u, 3u, 4u, 7u, 30u}) {
+    RandomForestConfig config;
+    config.num_trees = num_trees;
+    config.seed = 40 + num_trees;
+    RandomForest forest(config);
+    forest.Fit(data);
+    const std::vector<DecisionTree> trees = TreesOf(forest);
+    ASSERT_EQ(trees.size(), num_trees);
+    for (int r = 0; r < 400; ++r) {
+      std::vector<double> row(4);
+      for (double& x : row) x = 8.0 * rng.NextGaussian();
+      const std::vector<size_t> votes =
+          Votes(trees, forest.NumClasses(), row);
+      const auto top = std::max_element(votes.begin(), votes.end());
+      ties += std::count(votes.begin(), votes.end(), *top) > 1;
+      ASSERT_EQ(forest.PredictRow(row.data()),
+                static_cast<int>(top - votes.begin()))
+          << num_trees << " trees, row " << r;
+    }
+  }
+  EXPECT_GT(ties, 0u);
+}
+
+TEST(RandomForestTest, PredictRowBreaksTiesTowardSmallestLabel) {
+  // Single-leaf trees vote fixed labels, whatever the row.
+  const auto forest_of = [](const std::vector<int>& labels) {
+    std::string blob = "opthash.rf.v1 8 1 " + std::to_string(labels.size()) +
+                       "\n";
+    for (const int label : labels) {
+      blob += "opthash.cart.v1 1 8 1\n1 0 0 -1 -1 " + std::to_string(label) +
+              " 0 1\n";
+    }
+    auto forest = RandomForest::Deserialize(blob);
+    EXPECT_TRUE(forest.ok()) << forest.status().ToString();
+    return std::move(forest).value();
+  };
+  const double row[] = {0.0};
+  EXPECT_EQ(forest_of({3, 1}).PredictRow(row), 1);
+  EXPECT_EQ(forest_of({5, 2, 5, 2, 7}).PredictRow(row), 2);
+  EXPECT_EQ(forest_of({7, 6, 6, 7, 0}).PredictRow(row), 6);
+  EXPECT_EQ(forest_of({4, 0, 4}).PredictRow(row), 4);
+  EXPECT_EQ(forest_of({7}).PredictRow(row), 7);
 }
 
 TEST(RandomForestTest, NameIsRf) {

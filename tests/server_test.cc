@@ -205,6 +205,73 @@ TEST(ServerTest, ServedBundleMatchesOfflineEstimator) {
   }
 }
 
+// Served key-only answers against an independent reference: the
+// estimator's own scalar query with the blank payload's features, key by
+// key — not the BundleQueryEngine the server itself calls.
+class ServedBundleBlankPayload
+    : public ::testing::TestWithParam<core::ClassifierKind> {};
+
+TEST_P(ServedBundleBlankPayload, KeyOnlyAnswersMatchScalarBlankQuery) {
+  io::ModelBundle bundle;
+  bundle.featurizer = stream::BagOfWordsFeaturizer(32);
+  std::vector<std::pair<std::string, double>> corpus;
+  for (size_t i = 0; i < 150; ++i) {
+    corpus.push_back({"item word" + std::to_string(i % 11),
+                      (i % 7 == 0) ? 90.0 + i : 2.0});
+  }
+  bundle.featurizer.Fit(corpus);
+  core::OptHashConfig config;
+  config.total_buckets = 200;
+  config.id_ratio = 0.5;
+  config.solver = core::SolverKind::kDp;
+  config.classifier = GetParam();
+  config.rf.num_trees = 10;
+  std::vector<core::PrefixElement> prefix;
+  for (size_t i = 0; i < 150; ++i) {
+    prefix.push_back({.id = 100 + i,
+                      .frequency = corpus[i].second,
+                      .features = bundle.featurizer.Featurize(
+                          corpus[i].first)});
+  }
+  auto trained = core::OptHashEstimator::Train(config, prefix);
+  ASSERT_TRUE(trained.ok());
+  bundle.estimator = std::move(trained).value();
+
+  const std::string path = ::testing::TempDir() + "/served_blank_" +
+                           core::ClassifierKindName(GetParam()) + ".bin";
+  ASSERT_TRUE(
+      io::SaveModelBundle(path, bundle, io::SnapshotFormat::kBinary).ok());
+  auto opened = OpenServedModel(path, /*use_mmap=*/false);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  RunningServer running(std::move(opened.value().model));
+  ASSERT_TRUE(running.Start().ok());
+  Client client = running.MustConnect();
+
+  const std::vector<double> blank = bundle.featurizer.Featurize("");
+  // Two requests on one session: the second reuses the session's engine.
+  for (const uint64_t first : {90u, 185u}) {
+    std::vector<uint64_t> queries;
+    for (uint64_t id = first; id < first + 95; ++id) queries.push_back(id);
+    std::vector<double> served;
+    ASSERT_TRUE(client.Query(queries, served).ok());
+    ASSERT_EQ(served.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(served[i], bundle.estimator->Estimate({queries[i], &blank}))
+          << "id " << queries[i];
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Classifiers, ServedBundleBlankPayload,
+    ::testing::Values(core::ClassifierKind::kRandomForest,
+                      core::ClassifierKind::kCart,
+                      core::ClassifierKind::kLogisticRegression,
+                      core::ClassifierKind::kNone),
+    [](const ::testing::TestParamInfo<core::ClassifierKind>& info) {
+      return std::string(core::ClassifierKindName(info.param));
+    });
+
 TEST(ServerTest, MappedBundleServesReadOnly) {
   // Reuse the binary bundle from the previous test's path layout.
   io::ModelBundle bundle;
