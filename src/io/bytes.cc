@@ -203,7 +203,10 @@ Status ReadArrayImpl(ByteReader& reader, std::vector<T>& out, size_t count,
   out.resize(count);
   auto span = reader.ReadSpan(count * sizeof(T));
   if (!span.ok()) return span.status();
-  std::memcpy(out.data(), span.value().data(), count * sizeof(T));
+  // An empty array's data() may be null, which memcpy must not receive.
+  if (count != 0) {
+    std::memcpy(out.data(), span.value().data(), count * sizeof(T));
+  }
   if (!HostIsLittleEndian()) {
     for (T& v : out) v = convert(v);
   }

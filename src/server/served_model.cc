@@ -198,7 +198,8 @@ class BundleModel : public ServedModel {
                      Span<double> out) const override {
     // Key-only serving routes through the same BundleQueryEngine as the
     // offline `query` verb: ids the learned table resolves never touch
-    // the featurizer, misses are featurized as blank-text queries. The
+    // the featurizer, and misses are blank-text queries, which take the
+    // blank-payload bucket the session's engine classified once. The
     // TraceRecord block reuses its storage (ids overwritten in place,
     // texts stay empty), so a warm session allocates nothing here.
     auto& ctx = static_cast<Context&>(context);

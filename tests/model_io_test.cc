@@ -256,8 +256,8 @@ Status LoadForestText(size_t features, size_t classes, size_t tree_features,
       .status();
 }
 
-Status LoadForestBinary(uint64_t features, uint64_t classes,
-                        uint64_t tree_features, uint64_t tree_classes) {
+Status LoadForestBinary(size_t features, size_t classes, size_t tree_features,
+                        size_t tree_classes) {
   ByteWriter out;
   out.WriteU32(1);  // payload version
   out.WriteU32(0);  // reserved
@@ -303,7 +303,7 @@ Status LoadCartEstimatorText(size_t buckets, size_t classes) {
       .status();
 }
 
-Status LoadCartEstimatorBinary(uint64_t buckets, uint64_t classes) {
+Status LoadCartEstimatorBinary(size_t buckets, size_t classes) {
   ByteWriter tree;
   WriteLeafTree(tree, 1, classes, 0);
   ByteWriter out;
@@ -334,7 +334,7 @@ TEST(ModelIoTest, EstimatorRejectsClassifierWithMoreClassesThanBuckets) {
 
 TEST(ModelIoTest, LoadRejectsClassifierReadingOtherThanFeaturizerRows) {
   // The estimator's classifier learns 1-feature rows, but the featurizer
-  // writes FeatureDim() = 20: every miss would abort in Predict.
+  // writes longer ones: every miss would abort in Predict.
   for (const auto classifier :
        {core::ClassifierKind::kLogisticRegression, core::ClassifierKind::kCart,
         core::ClassifierKind::kRandomForest}) {

@@ -348,8 +348,9 @@ int CmdQuery(const Flags& flags) {
   std::printf("id,estimate\n");
   // Distinct queries stream through the batched, allocation-free read
   // path in blocks; output is identical to the scalar featurize+Estimate
-  // loop this replaced (the engine skips featurization only where the
-  // features could never be read).
+  // loop this replaced (the engine skips featurization where the
+  // features could never be read, and classifies the blank payload
+  // once).
   io::BundleQueryEngine engine(bundle.value());
   std::unordered_set<uint64_t> seen;
   std::vector<stream::TraceRecord> block;
