@@ -159,6 +159,43 @@ TEST(DecisionTreeTest, DeterministicGivenConfig) {
   }
 }
 
+// Split search scores only the boundaries between distinct feature
+// values, so how rows sharing a value are ordered must not reach the
+// tree. Four features with three or four distinct small counts each and
+// twelve labels loosely tied to them give long runs of equal values with
+// many labels inside each run.
+TEST(DecisionTreeTest, RowOrderWithinTiedValuesDoesNotChangeTheTree) {
+  Rng rng(11);
+  Dataset data(4);
+  for (size_t i = 0; i < 400; ++i) {
+    const double a = static_cast<double>(rng.NextBounded(4));
+    const double b = static_cast<double>(rng.NextBounded(3));
+    const double c = static_cast<double>(rng.NextBounded(2) * 2);
+    const double d = static_cast<double>(rng.NextBounded(4));
+    const auto label =
+        static_cast<int>((a * 3 + b + rng.NextBounded(3)) * 12 / 15);
+    data.Add({a, b, c, d}, label);
+  }
+  std::vector<size_t> order(data.NumExamples());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  rng.Shuffle(order);
+  const Dataset permuted = data.Subset(order);
+
+  DecisionTreeConfig leaf_config;
+  leaf_config.min_samples_leaf = 3;
+  DecisionTreeConfig features_config;
+  features_config.max_features = 2;
+  for (const DecisionTreeConfig& config :
+       {DecisionTreeConfig{}, leaf_config, features_config}) {
+    DecisionTree original(config);
+    DecisionTree reordered(config);
+    original.Fit(data);
+    reordered.Fit(permuted);
+    EXPECT_GT(original.NodeCount(), 7u);
+    EXPECT_EQ(original.Serialize(), reordered.Serialize());
+  }
+}
+
 class TreeDepthSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(TreeDepthSweep, TrainAccuracyNonDecreasingInDepth) {
