@@ -87,13 +87,25 @@ int32_t DecisionTree::BuildNode(const Dataset& train,
 
   std::vector<std::pair<double, int>> values(n);  // (feature value, label)
   std::vector<size_t> left_counts(num_classes_);
+  std::vector<size_t> right_counts(num_classes_);
   for (size_t feature : candidate_features) {
+    const double first = train.Features(indices[0])[feature];
+    bool constant = true;
     for (size_t i = 0; i < n; ++i) {
-      values[i] = {train.Features(indices[i])[feature],
-                   train.Label(indices[i])};
+      const double value = train.Features(indices[i])[feature];
+      constant = constant && value == first;
+      values[i] = {value, train.Label(indices[i])};
     }
-    std::sort(values.begin(), values.end());
-    if (values.front().first == values.back().first) continue;
+    // A constant column has no boundary to score.
+    if (constant) continue;
+    // Only boundaries between distinct values are scored, and there the
+    // left histogram holds every row at or below the value, so the order
+    // of rows sharing a value is irrelevant: sort by value alone.
+    std::sort(values.begin(), values.end(),
+              [](const std::pair<double, int>& a,
+                 const std::pair<double, int>& b) {
+                return a.first < b.first;
+              });
 
     std::fill(left_counts.begin(), left_counts.end(), 0);
     size_t left_total = 0;
@@ -106,7 +118,6 @@ int32_t DecisionTree::BuildNode(const Dataset& train,
           right_total < config_.min_samples_leaf) {
         continue;
       }
-      std::vector<size_t> right_counts(num_classes_);
       for (size_t c = 0; c < num_classes_; ++c) {
         right_counts[c] = counts[c] - left_counts[c];
       }

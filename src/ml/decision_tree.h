@@ -32,6 +32,9 @@ struct DecisionTreeConfig {
 /// \brief CART decision tree (Breiman et al. 1984, ref [43]) — the paper's
 /// `cart` classifier. Axis-aligned splits chosen by maximal gini impurity
 /// decrease, with exhaustive threshold scan over sorted feature values.
+/// Thresholds fall only between distinct values, so rows with equal
+/// feature values are never split apart and the fitted tree does not
+/// depend on the order of the training rows.
 class DecisionTree : public Classifier {
  public:
   explicit DecisionTree(DecisionTreeConfig config = {});

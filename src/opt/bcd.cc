@@ -66,10 +66,14 @@ SolveResult BcdSolver::Descend(const HashingProblem& problem,
     buckets[static_cast<size_t>(assignment[i])].Add(problem.frequencies[i],
                                                     features_of(i));
   }
+  // e_j changes only when a move touches bucket j, so it is cached beside
+  // the full bucket error instead of being recomputed per candidate.
   std::vector<double> bucket_error(b, 0.0);
+  std::vector<double> estimation_error(b, 0.0);
   double total_error = 0.0;
   for (size_t j = 0; j < b; ++j) {
     bucket_error[j] = buckets[j].Error(lambda);
+    estimation_error[j] = buckets[j].EstimationError();
     total_error += bucket_error[j];
   }
 
@@ -102,7 +106,7 @@ SolveResult BcdSolver::Descend(const HashingProblem& problem,
         if (j == current) continue;
         const BucketStats& target = buckets[j];
         double delta = lambda * (target.EstimationErrorWith(f) -
-                                 target.EstimationError());
+                                 estimation_error[j]);
         if (use_features) {
           delta += (1.0 - lambda) * target.SimilarityDeltaAdd(x);
         }
@@ -114,13 +118,15 @@ SolveResult BcdSolver::Descend(const HashingProblem& problem,
 
       if (best_bucket == current) continue;
 
-      // Apply the move and refresh the two touched bucket error caches.
+      // Apply the move and refresh the caches of the two touched buckets.
       buckets[current].Remove(f, x);
       buckets[best_bucket].Add(f, x);
       assignment[element] = static_cast<int32_t>(best_bucket);
       total_error -= bucket_error[current] + bucket_error[best_bucket];
       bucket_error[current] = buckets[current].Error(lambda);
       bucket_error[best_bucket] = buckets[best_bucket].Error(lambda);
+      estimation_error[current] = buckets[current].EstimationError();
+      estimation_error[best_bucket] = buckets[best_bucket].EstimationError();
       total_error += bucket_error[current] + bucket_error[best_bucket];
     }
     ++sweeps;

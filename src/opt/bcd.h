@@ -30,7 +30,9 @@ struct BcdConfig {
 /// block, every candidate bucket j is scored by the *change* in total error
 /// if element i moved there — evaluated in O(log c_j + p) from the
 /// incremental BucketStats — and the element greedily moves to the argmin
-/// (staying put on ties). Every accepted move strictly decreases the
+/// (staying put on ties). Each bucket's current estimation error e_j is
+/// cached and refreshed only for the two buckets a move touches, so a
+/// candidate costs one EstimationErrorWith search, not two. Every accepted move strictly decreases the
 /// objective, so the sweep objective sequence is non-increasing and the
 /// algorithm terminates at a local optimum.
 class BcdSolver {
