@@ -63,14 +63,49 @@ void BM_RandomForestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomForestFit)->Arg(500)->Arg(2000);
 
+// The shape of a bundle's h_U training set (§5.2 on a query log): one row
+// per stored id, bag-of-words counts over a 500-word vocabulary with a
+// handful of mostly head words per row, and the learned buckets as labels.
+// Inside a node most columns are constant and the rest hold a few small
+// counts, so split search is dominated by ties, unlike the blobs above.
+Dataset MakeBagOfWords(size_t n, size_t classes, size_t vocabulary,
+                       uint64_t seed) {
+  Rng rng(seed);
+  Dataset data(vocabulary);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<double> x(vocabulary, 0.0);
+    const uint64_t words = 1 + rng.NextBounded(4);
+    for (uint64_t w = 0; w < words; ++w) {
+      const double u = rng.NextDouble();
+      x[static_cast<size_t>(u * u * u * static_cast<double>(vocabulary))] +=
+          1.0;
+    }
+    data.Add(std::move(x), static_cast<int>(rng.NextBounded(classes)));
+  }
+  return data;
+}
+
+void BM_RandomForestFitBagOfWords(benchmark::State& state) {
+  const Dataset data = MakeBagOfWords(3000, 950, 500, 7);
+  RandomForestConfig config;
+  config.num_trees = 10;
+  config.max_depth = 12;
+  for (auto _ : state) {
+    RandomForest forest(config);
+    forest.Fit(data);
+    benchmark::DoNotOptimize(forest.NumTrees());
+  }
+}
+BENCHMARK(BM_RandomForestFitBagOfWords)->Unit(benchmark::kMillisecond);
+
 void BM_CartPredict(benchmark::State& state) {
   const Dataset data = MakeBlobs(4000, 10, 8, 4);
   DecisionTree tree;
   tree.Fit(data);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Predict(data.Features(i++ & 4095 % 4000)));
-    if (i >= 4000) i = 0;
+    benchmark::DoNotOptimize(tree.Predict(data.Features(i)));
+    if (++i >= 4000) i = 0;
   }
   state.SetItemsProcessed(state.iterations());
 }
