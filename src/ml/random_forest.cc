@@ -38,10 +38,10 @@ void RandomForest::Fit(const Dataset& train) {
     tree_config.min_samples_leaf = config_.min_samples_leaf;
     tree_config.seed = rng.NextUint64();
     DecisionTree tree(tree_config);
-    // Bootstrap samples can miss the highest label; fit against a dataset
-    // that remembers the global class count via an appended no-op example
-    // would skew training, so instead trees simply vote over their own
-    // label space and the argmax below runs over the global class count.
+    // A bootstrap sample can miss the highest labels, so a tree's class
+    // count may be below the forest's. That is harmless: every label a
+    // tree casts is a global label, and PredictRow counts the cast labels
+    // themselves rather than indexing a per-class array.
     tree.Fit(sample);
     trees_.push_back(std::move(tree));
   }
