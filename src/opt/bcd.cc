@@ -59,7 +59,7 @@ SolveResult BcdSolver::Descend(const HashingProblem& problem,
     return use_features ? problem.features[i] : kNoFeatures;
   };
 
-  // Build bucket stats and the per-bucket error cache for the initial map
+  // Build bucket stats and the per-bucket error caches for the initial map
   // (Algorithm 1, lines 2-9).
   std::vector<BucketStats> buckets(b, BucketStats(feature_dim));
   for (size_t i = 0; i < n; ++i) {
@@ -67,7 +67,7 @@ SolveResult BcdSolver::Descend(const HashingProblem& problem,
                                                     features_of(i));
   }
   // e_j changes only when a move touches bucket j, so it is cached beside
-  // the full bucket error instead of being recomputed per candidate.
+  // the full bucket error and read, not recomputed, for each candidate.
   std::vector<double> bucket_error(b, 0.0);
   std::vector<double> estimation_error(b, 0.0);
   double total_error = 0.0;

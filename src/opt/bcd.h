@@ -32,9 +32,9 @@ struct BcdConfig {
 /// incremental BucketStats — and the element greedily moves to the argmin
 /// (staying put on ties). Each bucket's current estimation error e_j is
 /// cached and refreshed only for the two buckets a move touches, so a
-/// candidate costs one EstimationErrorWith search, not two. Every accepted move strictly decreases the
-/// objective, so the sweep objective sequence is non-increasing and the
-/// algorithm terminates at a local optimum.
+/// candidate costs one EstimationErrorWith search, not two. Every accepted
+/// move strictly decreases the objective, so the sweep objective sequence
+/// is non-increasing and the algorithm terminates at a local optimum.
 class BcdSolver {
  public:
   explicit BcdSolver(BcdConfig config = {});

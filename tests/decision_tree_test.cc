@@ -161,8 +161,8 @@ TEST(DecisionTreeTest, DeterministicGivenConfig) {
 
 // Split search scores only the boundaries between distinct feature
 // values, so how rows sharing a value are ordered must not reach the
-// tree. Four features with three or four distinct small counts each and
-// twelve labels loosely tied to them give long runs of equal values with
+// tree. Four features with two to four distinct small values each and
+// eleven labels loosely tied to them give long runs of equal values with
 // many labels inside each run.
 TEST(DecisionTreeTest, RowOrderWithinTiedValuesDoesNotChangeTheTree) {
   Rng rng(11);
