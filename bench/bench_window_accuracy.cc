@@ -3,8 +3,8 @@
 // that all cover the SAME live span (window_items x windows held
 // constant) but slice it into 1..16 windows, and every ring's answers
 // are scored against an exact trailing-span oracle (a brute-force count
-// over the last `span` arrivals). Reported as JSON per ring (like the
-// other bench drivers, so CI archives the trajectory per commit).
+// over the last `span` arrivals). Reported as JSON per ring, so CI
+// archives the trajectory per commit.
 //
 //   bench_window_accuracy [--quick] [--items N] [--span L] [--out path]
 //
@@ -16,7 +16,7 @@
 // tighter match to the trailing span at the cost of one sub-sketch per
 // window; the measured curve below is the sizing guidance quoted in
 // docs/OPERATIONS.md ("Windowed serving").
-// --quick shrinks the workload for the CI bench-smoke job.
+// --quick shrinks the workload for the CI perfbench-smoke job.
 
 #include <algorithm>
 #include <cstdio>

@@ -57,9 +57,8 @@ Result<SnapshotFormat> DetectFileFormat(const std::string& path);
 Result<ModelBundle> LoadModelBundle(const std::string& path);
 
 /// \brief Batched query pipeline over a loaded model bundle — the serving
-/// read side of the paper's workflow, shared by `opthash_cli query`, the
-/// daemon's bundle adapter (key-only queries are blank-text records) and
-/// bench_query_throughput.
+/// read side of the paper's workflow, shared by `opthash_cli query` and
+/// the daemon's bundle adapter (key-only queries are blank-text records).
 ///
 /// EstimateBlock answers one block of (id, text) queries through the
 /// estimator's lazy batch path (OptHashEstimator::EstimateBatchLazy),
