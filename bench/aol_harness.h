@@ -59,6 +59,12 @@ class AolHarness {
   const stream::QueryLog& log() const { return log_; }
   size_t NumDay0Queries() const { return day0_counts_.size(); }
 
+  /// The bag-of-words feature row of a rank's query text, as the
+  /// classifier h_U sees it.
+  const std::vector<double>& Features(size_t rank) {
+    return pipeline_.Features(rank);
+  }
+
   /// Builds the §7.2/§7.3 candidate set for a total budget of `buckets`.
   std::vector<AolCandidate> BuildCandidates(size_t buckets, uint64_t seed) {
     std::vector<AolCandidate> candidates;
@@ -150,7 +156,7 @@ class AolHarness {
     queries.reserve(day_ranks.size());
     for (size_t rank : day_ranks) {
       const uint64_t id = log_.QueryId(rank);
-      queries.push_back({{id, &pipeline_.Features(rank)},
+      queries.push_back({{id, &Features(rank)},
                          static_cast<double>(truth.Count(id))});
     }
     return queries;
@@ -172,7 +178,7 @@ class AolHarness {
     for (const auto& [rank, count] : day0_counts_) {
       prefix.push_back({.id = log_.QueryId(rank),
                         .frequency = count,
-                        .features = pipeline_.Features(rank)});
+                        .features = Features(rank)});
     }
     core::OptHashConfig config;
     config.total_buckets = buckets;

@@ -52,7 +52,10 @@ void Run() {
       const uint64_t id = harness.log().QueryId(rank);
       const auto truth_count = static_cast<double>(truth.Count(id));
       if (truth_count <= 0.0) continue;
-      const double estimate = opt_hash->Estimate({id, nullptr});
+      // An id missing from the learned table is routed by h_U, which
+      // needs the query's feature row.
+      const double estimate =
+          opt_hash->Estimate({id, &harness.Features(rank)});
       percent_error[r].Add(100.0 * std::abs(estimate - truth_count) /
                            truth_count);
       frequencies[r] = truth_count;
