@@ -156,7 +156,7 @@ class AolHarness {
     queries.reserve(day_ranks.size());
     for (size_t rank : day_ranks) {
       const uint64_t id = log_.QueryId(rank);
-      queries.push_back({{id, &Features(rank)},
+      queries.push_back({{id, &pipeline_.Features(rank)},
                          static_cast<double>(truth.Count(id))});
     }
     return queries;
@@ -178,7 +178,7 @@ class AolHarness {
     for (const auto& [rank, count] : day0_counts_) {
       prefix.push_back({.id = log_.QueryId(rank),
                         .frequency = count,
-                        .features = Features(rank)});
+                        .features = pipeline_.Features(rank)});
     }
     core::OptHashConfig config;
     config.total_buckets = buckets;

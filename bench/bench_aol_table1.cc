@@ -54,8 +54,7 @@ void Run() {
       if (truth_count <= 0.0) continue;
       // An id missing from the learned table is routed by h_U, which
       // needs the query's feature row.
-      const double estimate =
-          opt_hash->Estimate({id, &harness.Features(rank)});
+      const double estimate = opt_hash->Estimate({id, &harness.Features(rank)});
       percent_error[r].Add(100.0 * std::abs(estimate - truth_count) /
                            truth_count);
       frequencies[r] = truth_count;
