@@ -116,9 +116,20 @@ def snapshot_seeds(cli):
         windowed_lcms = snap("windowed_lcms", "lcms", "--buckets", "16",
                              "--heavy", "1", "--windows", "2", "--window",
                              "3")
+        # A binary model bundle: its estimator section carries the learned
+        # table columns the snapshot fuzzer decodes.
+        bundle_path = os.path.join(tmp, "bundle.bin")
+        subprocess.run(
+            [cli, "train", "--trace", trace, "--out", bundle_path,
+             "--buckets", "8", "--solver", "dp", "--classifier", "cart",
+             "--vocab", "4", "--format", "binary"],
+            check=True, stdout=subprocess.DEVNULL)
+        with open(bundle_path, "rb") as fh:
+            bundle = fh.read()
 
     write("snapshot_parse", "cms_checkpoint", plain)
     write("snapshot_parse", "windowed_cms_checkpoint", windowed)
+    write("snapshot_parse", "opthash_bundle", bundle)
     corrupt = bytearray(plain)
     corrupt[len(corrupt) // 2] ^= 0xFF  # payload bit flip: CRC must catch
     write("snapshot_parse", "hostile_payload_bitflip", bytes(corrupt))

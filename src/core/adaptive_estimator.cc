@@ -11,13 +11,11 @@ AdaptiveOptHashEstimator::AdaptiveOptHashEstimator(
       bloom_(hashing::BloomFilter::ForExpectedInsertions(
           std::max<size_t>(config.expected_distinct, 1), config.bloom_fpr,
           config.seed)) {
-  const size_t b = base_.num_buckets();
-  bucket_freq_.resize(b);
-  bucket_count_.resize(b);
-  for (size_t j = 0; j < b; ++j) {
-    bucket_freq_[j] = base_.BucketFrequency(j);
-    bucket_count_[j] = base_.BucketCount(j);
-  }
+  const BucketCounters base_counters = base_.bucket_counters();
+  bucket_freq_.assign(base_counters.freq,
+                      base_counters.freq + base_counters.size);
+  bucket_count_.assign(base_counters.count,
+                       base_counters.count + base_counters.size);
   // Step 3 (§5.3): all prefix elements start out marked as seen.
   for (uint64_t id : prefix_ids) bloom_.Add(id);
 }
@@ -37,11 +35,7 @@ double AdaptiveOptHashEstimator::Estimate(
     const stream::StreamItem& item) const {
   // f~ = (phi_j / c_j) * BF(u).
   if (!bloom_.MayContain(item.id)) return 0.0;
-  const int32_t bucket = base_.BucketOf(item);
-  if (bucket < 0) return 0.0;
-  const auto j = static_cast<size_t>(bucket);
-  if (bucket_count_[j] <= 0.0) return 0.0;
-  return bucket_freq_[j] / bucket_count_[j];
+  return Counters().Average(base_.BucketOf(item));
 }
 
 void AdaptiveOptHashEstimator::EstimateBatch(
@@ -66,14 +60,9 @@ void AdaptiveOptHashEstimator::EstimateBatch(
       Span<const stream::StreamItem>(filtered.data(), filtered.size()),
       workspace);
   for (size_t i = 0; i < items.size(); ++i) {
-    const int32_t bucket = workspace.buckets[i];
-    if (may_contain[i] == 0 || bucket < 0) {
-      out[i] = 0.0;
-      continue;
-    }
-    const auto j = static_cast<size_t>(bucket);
-    out[i] = bucket_count_[j] <= 0.0 ? 0.0 : bucket_freq_[j] / bucket_count_[j];
+    if (may_contain[i] == 0) workspace.buckets[i] = -1;
   }
+  Counters().GatherAverages(workspace.buckets, out);
 }
 
 size_t AdaptiveOptHashEstimator::MemoryBuckets() const {

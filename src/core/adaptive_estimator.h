@@ -57,6 +57,10 @@ class AdaptiveOptHashEstimator : public FrequencyEstimator {
   const OptHashEstimator& base() const { return base_; }
 
  private:
+  BucketCounters Counters() const {
+    return {bucket_freq_.data(), bucket_count_.data(), bucket_freq_.size()};
+  }
+
   OptHashEstimator base_;
   hashing::BloomFilter bloom_;
   std::vector<double> bucket_freq_;   // phi_j (adaptive copies).

@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "common/random.h"
 #include "common/timer.h"
-#include "sketch/kernels/kernels.h"
 
 namespace opthash::core {
 
@@ -124,13 +123,23 @@ Result<OptHashEstimator> OptHashEstimator::Train(
   OptHashEstimator estimator;
   estimator.bucket_freq_.assign(num_buckets, 0.0);
   estimator.bucket_count_.assign(num_buckets, 0.0);
-  estimator.table_.reserve(chosen.size());
   for (size_t t = 0; t < chosen.size(); ++t) {
-    const PrefixElement& element = prefix[chosen[t]];
     const auto bucket = static_cast<size_t>(solved.assignment[t]);
-    estimator.table_.emplace(element.id, solved.assignment[t]);
-    estimator.bucket_freq_[bucket] += element.frequency;
+    estimator.bucket_freq_[bucket] += prefix[chosen[t]].frequency;
     estimator.bucket_count_[bucket] += 1.0;
+  }
+  // The table's columns in ascending id order; an id the prefix repeats
+  // keeps its first sampled entry.
+  std::vector<std::pair<uint64_t, size_t>> by_id;
+  for (size_t t = 0; t < chosen.size(); ++t) {
+    by_id.emplace_back(prefix[chosen[t]].id, t);
+  }
+  std::sort(by_id.begin(), by_id.end());
+  for (const auto& [id, t] : by_id) {
+    if (estimator.table_ids_.empty() || estimator.table_ids_.back() != id) {
+      estimator.table_ids_.push_back(id);
+      estimator.table_buckets_.push_back(solved.assignment[t]);
+    }
   }
 
   // Phase 2 (§5.2): classifier mapping features to learned buckets.
@@ -172,9 +181,8 @@ Result<OptHashEstimator> OptHashEstimator::Train(
 }
 
 int32_t OptHashEstimator::BucketOf(const stream::StreamItem& item) const {
-  auto it = table_.find(item.id);
-  if (it != table_.end()) return it->second;
-  if (item.features == nullptr) return -1;
+  const int32_t bucket = table().Find(item.id);
+  if (bucket >= 0 || item.features == nullptr) return bucket;
   return ClassifierBucket(*item.features);
 }
 
@@ -190,18 +198,25 @@ int32_t OptHashEstimator::ClassifierBucket(
 void OptHashEstimator::Update(const stream::StreamItem& item) {
   // Static mode (Fig. 9c): only elements stored in the learned hash table
   // are tracked during stream processing.
-  auto it = table_.find(item.id);
-  if (it == table_.end()) return;
-  bucket_freq_[static_cast<size_t>(it->second)] += 1.0;
+  const int32_t bucket = table().Find(item.id);
+  if (bucket >= 0) bucket_freq_[static_cast<size_t>(bucket)] += 1.0;
 }
 
 void OptHashEstimator::AccumulateUpdates(
     Span<const uint64_t> ids, std::vector<double>& bucket_deltas) const {
   OPTHASH_CHECK_EQ(bucket_deltas.size(), bucket_freq_.size());
-  for (uint64_t id : ids) {
-    auto it = table_.find(id);
-    if (it == table_.end()) continue;
-    bucket_deltas[static_cast<size_t>(it->second)] += 1.0;
+  constexpr size_t kChunk = 256;
+  int32_t buckets[kChunk];
+  const LearnedTable learned = table();
+  for (size_t base = 0; base < ids.size(); base += kChunk) {
+    const size_t chunk = std::min(kChunk, ids.size() - base);
+    learned.FindBatch(ids.subspan(base, chunk),
+                      Span<int32_t>(buckets, chunk));
+    for (size_t i = 0; i < chunk; ++i) {
+      if (buckets[i] >= 0) {
+        bucket_deltas[static_cast<size_t>(buckets[i])] += 1.0;
+      }
+    }
   }
 }
 
@@ -220,15 +235,10 @@ void OptHashEstimator::RouteTableOnly(Span<const uint64_t> ids,
                                       OptHashQueryWorkspace& ws) const {
   ws.buckets.resize(ids.size());
   ws.pending.clear();
-  const bool can_classify = classifier_ != nullptr;
+  table().FindBatch(ids, ws.buckets);
+  if (classifier_ == nullptr) return;
   for (size_t i = 0; i < ids.size(); ++i) {
-    auto it = table_.find(ids[i]);
-    if (it != table_.end()) {
-      ws.buckets[i] = it->second;
-    } else {
-      ws.buckets[i] = -1;
-      if (can_classify) ws.pending.push_back(i);
-    }
+    if (ws.buckets[i] < 0) ws.pending.push_back(i);
   }
 }
 
@@ -251,30 +261,6 @@ void OptHashEstimator::RouteToBucket(OptHashQueryWorkspace& ws, size_t i,
   ws.buckets[i] = bucket;
 }
 
-void OptHashEstimator::GatherEstimates(const OptHashQueryWorkspace& ws,
-                                       Span<double> out) const {
-  // Pass 2: the bucket counter reads run back to back, with the kernel
-  // layer's read-prefetch issued a fixed distance ahead so bucket-array
-  // misses overlap instead of serializing.
-  constexpr size_t kPrefetchDistance = 16;
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (i + kPrefetchDistance < out.size()) {
-      const int32_t ahead = ws.buckets[i + kPrefetchDistance];
-      if (ahead >= 0) {
-        sketch::kernels::PrefetchRead(bucket_count_.data() + ahead);
-        sketch::kernels::PrefetchRead(bucket_freq_.data() + ahead);
-      }
-    }
-    const int32_t bucket = ws.buckets[i];
-    if (bucket < 0) {
-      out[i] = 0.0;
-      continue;
-    }
-    const auto j = static_cast<size_t>(bucket);
-    out[i] = bucket_count_[j] <= 0.0 ? 0.0 : bucket_freq_[j] / bucket_count_[j];
-  }
-}
-
 void OptHashEstimator::RouteBatch(Span<const stream::StreamItem> items,
                                   OptHashQueryWorkspace& ws) const {
   ws.buckets.resize(items.size());
@@ -282,15 +268,12 @@ void OptHashEstimator::RouteBatch(Span<const stream::StreamItem> items,
   // Pass 1a: the learned-table probes run back to back; classifier
   // candidates are only recorded, not predicted yet. Featureless misses
   // stay -1 — there is nothing to classify them with.
+  const LearnedTable learned = table();
   for (size_t i = 0; i < items.size(); ++i) {
-    auto it = table_.find(items[i].id);
-    if (it != table_.end()) {
-      ws.buckets[i] = it->second;
-    } else if (classifier_ != nullptr && items[i].features != nullptr) {
-      ws.buckets[i] = -1;
+    ws.buckets[i] = learned.Find(items[i].id);
+    if (ws.buckets[i] < 0 && classifier_ != nullptr &&
+        items[i].features != nullptr) {
       ws.pending.push_back(i);
-    } else {
-      ws.buckets[i] = -1;
     }
   }
   if (ws.pending.empty()) return;
@@ -311,7 +294,7 @@ void OptHashEstimator::EstimateBatch(Span<const stream::StreamItem> items,
                                      OptHashQueryWorkspace& ws) const {
   OPTHASH_CHECK_EQ(items.size(), out.size());
   RouteBatch(items, ws);
-  GatherEstimates(ws, out);
+  bucket_counters().GatherAverages(ws.buckets, out);
 }
 
 namespace {
@@ -339,7 +322,7 @@ double OptHashEstimator::Estimate(const stream::StreamItem& item) const {
 size_t OptHashEstimator::MemoryBuckets() const {
   // b buckets plus one bucket per stored ID (§7.3: "just storing their IDs
   // would require 200,000 buckets").
-  return bucket_freq_.size() + table_.size();
+  return bucket_freq_.size() + table_ids_.size();
 }
 
 Status OptHashEstimator::CheckClassifierFitsBuckets() const {
@@ -354,22 +337,35 @@ Status OptHashEstimator::CheckClassifierFitsBuckets() const {
 
 namespace {
 constexpr const char* kEstimatorMagic = "opthash.estimator.v1";
+
+// Both loaders hold a table to what LearnedTable searches by: strictly
+// ascending ids, each mapped to one of the estimator's buckets.
+Status CheckTableColumns(const std::vector<uint64_t>& ids,
+                         const std::vector<int32_t>& buckets,
+                         uint64_t num_buckets) {
+  for (size_t t = 0; t < ids.size(); ++t) {
+    if (t > 0 && ids[t] <= ids[t - 1]) {
+      return Status::InvalidArgument("table ids must be strictly ascending");
+    }
+    if (buckets[t] < 0 || static_cast<uint64_t>(buckets[t]) >= num_buckets) {
+      return Status::InvalidArgument("table bucket out of range");
+    }
+  }
+  return Status::OK();
+}
 }  // namespace
 
 std::string OptHashEstimator::Serialize() const {
   std::ostringstream out;
-  out << kEstimatorMagic << ' ' << bucket_freq_.size() << ' ' << table_.size()
+  out << kEstimatorMagic << ' ' << bucket_freq_.size() << ' '
+      << table_ids_.size()
       << ' ' << ClassifierKindName(classifier_kind_) << '\n';
   out << std::setprecision(17);
   for (double phi : bucket_freq_) out << phi << ' ';
   out << '\n';
   for (double c : bucket_count_) out << c << ' ';
   out << '\n';
-  // Table entries in sorted-id order so the blob is deterministic.
-  std::vector<std::pair<uint64_t, int32_t>> entries(table_.begin(),
-                                                    table_.end());
-  std::sort(entries.begin(), entries.end());
-  for (const auto& [id, bucket] : entries) {
+  for (const auto [id, bucket] : table()) {
     out << id << ' ' << bucket << '\n';
   }
   if (classifier_ != nullptr) {
@@ -420,18 +416,17 @@ Result<OptHashEstimator> OptHashEstimator::Deserialize(
   for (double& c : estimator.bucket_count_) {
     if (!(in >> c)) return Status::InvalidArgument("truncated bucket counts");
   }
-  estimator.table_.reserve(table_size);
   for (size_t t = 0; t < table_size; ++t) {
     uint64_t id = 0;
     int32_t bucket = 0;
     if (!(in >> id >> bucket)) {
       return Status::InvalidArgument("truncated table entries");
     }
-    if (bucket < 0 || static_cast<size_t>(bucket) >= num_buckets) {
-      return Status::InvalidArgument("table bucket out of range");
-    }
-    estimator.table_.emplace(id, bucket);
+    estimator.table_ids_.push_back(id);
+    estimator.table_buckets_.push_back(bucket);
   }
+  OPTHASH_IO_RETURN_IF_ERROR(CheckTableColumns(
+      estimator.table_ids_, estimator.table_buckets_, num_buckets));
 
   if (classifier_name == ClassifierKindName(ClassifierKind::kNone)) {
     estimator.classifier_kind_ = ClassifierKind::kNone;
@@ -474,24 +469,11 @@ void OptHashEstimator::SerializeBinary(io::ByteWriter& out) const {
   out.WriteU32(kEstimatorPayloadVersion);
   out.WriteU32(static_cast<uint32_t>(classifier_kind_));
   out.WriteU64(bucket_freq_.size());
-  out.WriteU64(table_.size());
+  out.WriteU64(table_ids_.size());
   out.WriteDoubleArray(bucket_freq_);
   out.WriteDoubleArray(bucket_count_);
-  // Structure-of-arrays table in ascending id order: deterministic bytes,
-  // and the mapped view can binary-search the id column in place.
-  std::vector<std::pair<uint64_t, int32_t>> entries(table_.begin(),
-                                                    table_.end());
-  std::sort(entries.begin(), entries.end());
-  std::vector<uint64_t> ids;
-  std::vector<int32_t> buckets;
-  ids.reserve(entries.size());
-  buckets.reserve(entries.size());
-  for (const auto& [id, bucket] : entries) {
-    ids.push_back(id);
-    buckets.push_back(bucket);
-  }
-  out.WriteU64Array(ids);
-  out.WriteI32Array(buckets);
+  out.WriteU64Array(table_ids_);
+  out.WriteI32Array(table_buckets_);
   out.AlignTo(8);
   io::ByteWriter classifier;
   if (classifier_ != nullptr) {
@@ -542,21 +524,13 @@ Result<OptHashEstimator> OptHashEstimator::DeserializeBinary(
       in.ReadDoubleArray(estimator.bucket_freq_, num_buckets));
   OPTHASH_IO_RETURN_IF_ERROR(
       in.ReadDoubleArray(estimator.bucket_count_, num_buckets));
-  std::vector<uint64_t> ids;
-  std::vector<int32_t> buckets;
-  OPTHASH_IO_RETURN_IF_ERROR(in.ReadU64Array(ids, table_size));
-  OPTHASH_IO_RETURN_IF_ERROR(in.ReadI32Array(buckets, table_size));
+  OPTHASH_IO_RETURN_IF_ERROR(
+      in.ReadU64Array(estimator.table_ids_, table_size));
+  OPTHASH_IO_RETURN_IF_ERROR(
+      in.ReadI32Array(estimator.table_buckets_, table_size));
   OPTHASH_IO_RETURN_IF_ERROR(in.AlignTo(8));
-  estimator.table_.reserve(table_size);
-  for (size_t t = 0; t < table_size; ++t) {
-    if (t > 0 && ids[t] <= ids[t - 1]) {
-      return Status::InvalidArgument("table ids must be strictly ascending");
-    }
-    if (buckets[t] < 0 || static_cast<uint64_t>(buckets[t]) >= num_buckets) {
-      return Status::InvalidArgument("table bucket out of range");
-    }
-    estimator.table_.emplace(ids[t], buckets[t]);
-  }
+  OPTHASH_IO_RETURN_IF_ERROR(CheckTableColumns(
+      estimator.table_ids_, estimator.table_buckets_, num_buckets));
   OPTHASH_IO_ASSIGN(classifier_size, in.ReadU64());
   auto blob = in.ReadSpan(classifier_size);
   if (!blob.ok()) return blob.status();

@@ -2,12 +2,12 @@
 #define OPTHASH_CORE_OPT_HASH_ESTIMATOR_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/span.h"
 #include "common/status.h"
 #include "core/frequency_estimator.h"
+#include "core/learned_table.h"
 #include "io/bytes.h"
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
@@ -201,7 +201,7 @@ class OptHashEstimator : public FrequencyEstimator {
       }
       ClassifyPendingRows(ws);
     }
-    GatherEstimates(ws, out);
+    bucket_counters().GatherAverages(ws.buckets, out);
   }
 
   size_t MemoryBuckets() const override;
@@ -223,7 +223,7 @@ class OptHashEstimator : public FrequencyEstimator {
                   OptHashQueryWorkspace& ws) const;
 
   size_t num_buckets() const { return bucket_freq_.size(); }
-  size_t num_stored_ids() const { return table_.size(); }
+  size_t num_stored_ids() const { return table_ids_.size(); }
   const OptHashTrainingInfo& training_info() const { return training_info_; }
   const ml::Classifier* classifier() const { return classifier_.get(); }
 
@@ -231,9 +231,16 @@ class OptHashEstimator : public FrequencyEstimator {
   double BucketFrequency(size_t j) const { return bucket_freq_.at(j); }
   double BucketCount(size_t j) const { return bucket_count_.at(j); }
 
-  /// The learned table (id -> bucket) — exposed for the adaptive extension
-  /// and for tests.
-  const std::unordered_map<uint64_t, int32_t>& table() const { return table_; }
+  /// The learned table (id -> bucket), a view over this estimator's
+  /// ascending id and bucket columns.
+  LearnedTable table() const {
+    return {table_ids_.data(), table_buckets_.data(), table_ids_.size()};
+  }
+
+  /// The bucket counters (phi_j, c_j) as a view.
+  BucketCounters bucket_counters() const {
+    return {bucket_freq_.data(), bucket_count_.data(), bucket_freq_.size()};
+  }
 
   /// Serializes the deployed state (hash table, bucket counters, fitted
   /// classifier) as a portable text blob — train offline, ship the scheme
@@ -243,9 +250,9 @@ class OptHashEstimator : public FrequencyEstimator {
   static Result<OptHashEstimator> Deserialize(const std::string& blob);
 
   /// Binary snapshot payload (docs/FORMATS.md, section type 32): bucket
-  /// counter arrays and the learned table as ascending-sorted structure-
-  /// of-arrays (ids then buckets) at 8-aligned payload offsets — the
-  /// layout io::MappedEstimatorView binary-searches in place — followed
+  /// counter arrays and the learned table's ascending id and bucket
+  /// columns at 8-aligned payload offsets — the layout
+  /// io::MappedEstimatorView searches in place — followed
   /// by the classifier's length-prefixed binary payload. Bit-exact
   /// round-trip of doubles (the text path goes through decimal).
   /// Must start at an 8-aligned writer offset (a fresh ByteWriter does);
@@ -266,21 +273,20 @@ class OptHashEstimator : public FrequencyEstimator {
   // candidates in ws.pending (only when a classifier exists);
   // ClassifyPendingRows expects ws.features filled with one row per
   // pending index and resolves them through one PredictBatch call;
-  // GatherEstimates turns ws.buckets into bucket-average answers.
   // RouteToBucket records a classifier-side bucket for item i after
   // checking it names one of this estimator's buckets.
   void RouteTableOnly(Span<const uint64_t> ids,
                       OptHashQueryWorkspace& ws) const;
   void ClassifyPendingRows(OptHashQueryWorkspace& ws) const;
   void RouteToBucket(OptHashQueryWorkspace& ws, size_t i, int bucket) const;
-  void GatherEstimates(const OptHashQueryWorkspace& ws,
-                       Span<double> out) const;
 
   // Load-time guard shared by both deserializers: the classifier's labels
   // index buckets, so it must not predict more classes than there are.
   Status CheckClassifierFitsBuckets() const;
 
-  std::unordered_map<uint64_t, int32_t> table_;
+  // The learned table's columns: ids strictly ascending, buckets parallel.
+  std::vector<uint64_t> table_ids_;
+  std::vector<int32_t> table_buckets_;
   std::vector<double> bucket_freq_;   // phi_j
   std::vector<double> bucket_count_;  // c_j
   std::unique_ptr<ml::Classifier> classifier_;

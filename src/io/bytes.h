@@ -120,10 +120,6 @@ inline uint32_t LoadLittleU32(const uint8_t* at) {
   return value;
 }
 
-inline int32_t LoadLittleI32(const uint8_t* at) {
-  return static_cast<int32_t>(LoadLittleU32(at));
-}
-
 inline double LoadLittleDouble(const uint8_t* at) {
   const uint64_t bits = LoadLittleU64(at);
   double value = 0.0;

@@ -1,6 +1,5 @@
 #include "io/model_io.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -13,11 +12,6 @@ namespace opthash::io {
 
 namespace {
 constexpr const char* kTextBundleMagic = "opthash.bundle.v1";
-
-// Byte offsets inside the estimator payload (docs/FORMATS.md §3.7).
-constexpr size_t kEstimatorHeaderBytes = 24;
-constexpr size_t kEstimatorBucketsOffset = 8;
-constexpr size_t kEstimatorTableOffset = 16;
 }  // namespace
 
 const char* SnapshotFormatName(SnapshotFormat format) {
@@ -208,21 +202,18 @@ Result<MappedEstimatorView> MappedEstimatorView::Open(
   if (section == nullptr) {
     return Status::InvalidArgument(path + " holds no estimator section");
   }
-  const Span<const uint8_t> payload = section->payload;
-  if (payload.size() < kEstimatorHeaderBytes) {
-    return Status::InvalidArgument("estimator payload shorter than header");
-  }
-  const uint32_t version = LoadLittleU32(payload.data());
+  // Header fields per docs/FORMATS.md §3.7, then the columns freq[B] f64,
+  // count[B] f64, ids[T] u64, buckets[T] i32.
+  ByteReader in(section->payload);
+  OPTHASH_IO_ASSIGN(version, in.ReadU32());
   if (version != 1) {
     return Status::InvalidArgument(
         "unsupported estimator payload version " + std::to_string(version));
   }
-  const uint64_t num_buckets =
-      LoadLittleU64(payload.data() + kEstimatorBucketsOffset);
-  const uint64_t table_size =
-      LoadLittleU64(payload.data() + kEstimatorTableOffset);
-  // Fixed layout: freq[B] f64, count[B] f64, ids[T] u64, buckets[T] i32.
-  const size_t body = payload.size() - kEstimatorHeaderBytes;
+  OPTHASH_IO_RETURN_IF_ERROR(in.ReadU32().status());  // Classifier kind.
+  OPTHASH_IO_ASSIGN(num_buckets, in.ReadU64());
+  OPTHASH_IO_ASSIGN(table_size, in.ReadU64());
+  const size_t body = in.remaining();
   if (num_buckets == 0 || num_buckets > body / (2 * sizeof(double)) ||
       table_size > (body - 2 * sizeof(double) * num_buckets) /
                        (sizeof(uint64_t) + sizeof(int32_t))) {
@@ -230,81 +221,30 @@ Result<MappedEstimatorView> MappedEstimatorView::Open(
         "estimator geometry disagrees with payload size");
   }
   MappedEstimatorView view;
-  view.num_buckets_ = static_cast<size_t>(num_buckets);
-  view.table_size_ = static_cast<size_t>(table_size);
-  const uint8_t* cursor = payload.data() + kEstimatorHeaderBytes;
-  view.bucket_freq_ = cursor;
-  cursor += num_buckets * sizeof(double);
-  view.bucket_count_ = cursor;
-  cursor += num_buckets * sizeof(double);
-  view.ids_ = cursor;
-  cursor += table_size * sizeof(uint64_t);
-  view.buckets_ = cursor;
+  const auto buckets = static_cast<size_t>(num_buckets);
+  const auto stored = static_cast<size_t>(table_size);
+  if (HostIsLittleEndian()) {
+    // Section payloads are 8-aligned in the mapping (docs/FORMATS.md), so
+    // every column is a host-order array in place.
+    const auto* freq =
+        reinterpret_cast<const double*>(section->payload.data() + in.offset());
+    view.counters_ = {freq, freq + buckets, buckets};
+    const auto* ids = reinterpret_cast<const uint64_t*>(freq + 2 * buckets);
+    view.table_ = core::LearnedTable(
+        ids, reinterpret_cast<const int32_t*>(ids + stored), stored);
+  } else {
+    OPTHASH_IO_RETURN_IF_ERROR(in.ReadDoubleArray(view.decoded_freq_, buckets));
+    OPTHASH_IO_RETURN_IF_ERROR(
+        in.ReadDoubleArray(view.decoded_count_, buckets));
+    OPTHASH_IO_RETURN_IF_ERROR(in.ReadU64Array(view.decoded_ids_, stored));
+    OPTHASH_IO_RETURN_IF_ERROR(in.ReadI32Array(view.decoded_buckets_, stored));
+    view.counters_ = {view.decoded_freq_.data(), view.decoded_count_.data(),
+                      buckets};
+    view.table_ = core::LearnedTable(view.decoded_ids_.data(),
+                                     view.decoded_buckets_.data(), stored);
+  }
   view.snapshot_ = std::move(snapshot).value();
   return view;
-}
-
-int32_t MappedEstimatorView::BucketOf(uint64_t id) const {
-  // Binary search over the mapped, ascending-sorted id column.
-  size_t lo = 0;
-  size_t hi = table_size_;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    const uint64_t probe = LoadLittleU64(ids_ + mid * sizeof(uint64_t));
-    if (probe == id) {
-      return LoadLittleI32(buckets_ + mid * sizeof(int32_t));
-    }
-    if (probe < id) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return -1;
-}
-
-uint64_t MappedEstimatorView::StoredId(size_t index) const {
-  return LoadLittleU64(ids_ + index * sizeof(uint64_t));
-}
-
-double MappedEstimatorView::Estimate(uint64_t id) const {
-  const int32_t bucket = BucketOf(id);
-  if (bucket < 0) return 0.0;
-  const auto j = static_cast<size_t>(bucket);
-  if (j >= num_buckets_) return 0.0;  // Corrupt entry; fail closed.
-  const double count = LoadLittleDouble(bucket_count_ + j * sizeof(double));
-  if (count <= 0.0) return 0.0;
-  return LoadLittleDouble(bucket_freq_ + j * sizeof(double)) / count;
-}
-
-void MappedEstimatorView::EstimateBatch(Span<const uint64_t> ids,
-                                        Span<double> out) const {
-  OPTHASH_CHECK_EQ(ids.size(), out.size());
-  constexpr size_t kChunk = 256;
-  int32_t buckets[kChunk];
-  for (size_t base = 0; base < ids.size(); base += kChunk) {
-    const size_t chunk = std::min(kChunk, ids.size() - base);
-    // Pass 1: route — the binary searches probe the mapped id column back
-    // to back while its upper levels stay cached.
-    for (size_t i = 0; i < chunk; ++i) {
-      buckets[i] = BucketOf(ids[base + i]);
-    }
-    // Pass 2: gather the bucket counter reads.
-    for (size_t i = 0; i < chunk; ++i) {
-      const int32_t bucket = buckets[i];
-      if (bucket < 0 || static_cast<size_t>(bucket) >= num_buckets_) {
-        out[base + i] = 0.0;  // Untracked, or corrupt entry; fail closed.
-        continue;
-      }
-      const auto j = static_cast<size_t>(bucket);
-      const double count =
-          LoadLittleDouble(bucket_count_ + j * sizeof(double));
-      out[base + i] =
-          count <= 0.0
-              ? 0.0
-              : LoadLittleDouble(bucket_freq_ + j * sizeof(double)) / count;
-    }
-  }
 }
 
 }  // namespace opthash::io

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/learned_table.h"
 #include "core/opt_hash_estimator.h"
 #include "io/snapshot.h"
 #include "stream/features.h"
@@ -98,13 +99,13 @@ class BundleQueryEngine {
 
 /// \brief Zero-copy serving view over a *binary* model bundle.
 ///
-/// Open mmaps the snapshot and binary-searches the estimator's sorted id
-/// table and reads its bucket counter arrays directly from the mapping —
-/// no hash-table build, no counter memcpy, restart cost independent of
-/// model size. The classifier section is NOT materialized, so only
-/// stored-id queries are answerable; unseen-element (classifier) queries
-/// need the full LoadModelBundle. Estimates for stored ids are
-/// bit-identical to OptHashEstimator::Estimate.
+/// Open mmaps the snapshot and runs OptHashEstimator's own table probe and
+/// bucket gather over the payload's columns in the mapping (a big-endian
+/// host decodes them once): no table build, no counter memcpy, restart
+/// cost independent of model size. The classifier section is NOT
+/// materialized, so only stored-id queries are answerable; unseen-element
+/// (classifier) queries need the full LoadModelBundle. Estimates for
+/// stored ids are bit-identical to OptHashEstimator::Estimate.
 ///
 /// Move-only; owns its mapping.
 class MappedEstimatorView {
@@ -114,40 +115,39 @@ class MappedEstimatorView {
 
   /// Bucket of a stored id, or -1 when the id is not in the learned
   /// table (this view cannot fall back to the classifier).
-  int32_t BucketOf(uint64_t id) const;
+  int32_t BucketOf(uint64_t id) const { return table_.Find(id); }
 
   /// Bucket-average estimate phi_j / c_j for a stored id; 0.0 when the id
   /// is untracked — matching OptHashEstimator::Estimate for items queried
   /// without features.
-  double Estimate(uint64_t id) const;
+  double Estimate(uint64_t id) const {
+    return counters_.Average(table_.Find(id));
+  }
 
   /// Batched point queries: out[i] = Estimate(ids[i]), allocation-free.
-  /// Two passes per fixed-size stack chunk: the id-table binary searches
-  /// run back to back (keeping the mapped id column hot), then the bucket
-  /// counters are gathered back to back. ids.size() must equal
-  /// out.size().
-  void EstimateBatch(Span<const uint64_t> ids, Span<double> out) const;
+  /// ids.size() must equal out.size().
+  void EstimateBatch(Span<const uint64_t> ids, Span<double> out) const {
+    core::EstimateStoredIds(table_, counters_, ids, out);
+  }
 
-  size_t num_buckets() const { return num_buckets_; }
-  size_t num_stored_ids() const { return table_size_; }
+  size_t num_buckets() const { return counters_.size; }
+  size_t num_stored_ids() const { return table_.size(); }
 
-  /// The index-th stored id, in the on-disk ascending order. Lets callers
-  /// enumerate the learned table (e.g. heavy-hitter candidate scans)
-  /// without materializing it. index must be < num_stored_ids().
-  uint64_t StoredId(size_t index) const;
+  /// The learned table and bucket counters, over the mapped columns.
+  const core::LearnedTable& table() const { return table_; }
+  const core::BucketCounters& bucket_counters() const { return counters_; }
 
  private:
   MappedEstimatorView() = default;
 
   MappedSnapshot snapshot_;
-  // All pointers reference the mapping; arrays are 8-aligned on disk by
-  // construction (docs/FORMATS.md §3.7).
-  const uint8_t* bucket_freq_ = nullptr;
-  const uint8_t* bucket_count_ = nullptr;
-  const uint8_t* ids_ = nullptr;
-  const uint8_t* buckets_ = nullptr;
-  size_t num_buckets_ = 0;
-  size_t table_size_ = 0;
+  // Big-endian hosts only: the payload columns decoded to host order.
+  std::vector<double> decoded_freq_;
+  std::vector<double> decoded_count_;
+  std::vector<uint64_t> decoded_ids_;
+  std::vector<int32_t> decoded_buckets_;
+  core::LearnedTable table_;
+  core::BucketCounters counters_;
 };
 
 }  // namespace opthash::io

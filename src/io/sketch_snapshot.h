@@ -10,7 +10,7 @@
 #include "io/bytes.h"
 #include "io/sketch_kinds.h"
 #include "io/snapshot.h"
-#include "sketch/kernels/kernels.h"
+#include "sketch/count_min_sketch.h"
 
 namespace opthash::io {
 
@@ -67,9 +67,10 @@ bool MmapServingSupported(SectionType type);
 /// Open mmaps the file, validates header + section table (payload CRC only
 /// when `verify_crc` — checking it would fault in every counter page,
 /// which is exactly what a hot restart wants to avoid), redraws the level
-/// hashes from the stored seed, and then answers Estimate straight from
-/// the mapped counter array: no allocation proportional to the sketch and
-/// no memcpy of counters. Pages fault in lazily as queries touch them.
+/// hashes from the stored seed, and then answers through CountMinSketch's
+/// own walk straight from the mapped counters (a big-endian host decodes
+/// them once): no allocation proportional to the sketch and no memcpy of
+/// counters. Pages fault in lazily as queries touch them.
 ///
 /// The view owns its mapping (move-only); estimates are byte-identical to
 /// a fully deserialized CountMinSketch. Use this for read-mostly serving;
@@ -81,35 +82,30 @@ class MappedCountMinView {
 
   /// Point query: min over levels, identical to CountMinSketch::Estimate
   /// on the snapshotted state.
-  uint64_t Estimate(uint64_t key) const;
+  uint64_t Estimate(uint64_t key) const {
+    return levels_.Estimate(counters_, key);
+  }
 
   /// Batched point queries: out[i] = Estimate(keys[i]), allocation-free.
-  /// Level-major over the mapped counter rows, mirroring
-  /// CountMinSketch::EstimateBatch (and touching each mapped page run
-  /// once per block). keys.size() must equal out.size().
-  void EstimateBatch(Span<const uint64_t> keys, Span<uint64_t> out) const;
+  /// keys.size() must equal out.size().
+  void EstimateBatch(Span<const uint64_t> keys, Span<uint64_t> out) const {
+    levels_.EstimateBatch(counters_, keys, out);
+  }
 
-  size_t width() const { return width_; }
-  size_t depth() const { return depth_; }
-  uint64_t seed() const { return seed_; }
+  size_t width() const { return levels_.width(); }
+  size_t depth() const { return levels_.depth(); }
   uint64_t total_count() const { return total_count_; }
-  bool conservative_update() const { return conservative_update_; }
 
  private:
   MappedCountMinView() = default;
 
   MappedSnapshot snapshot_;
-  const uint8_t* counters_ = nullptr;  // Into the mapping; 8-aligned.
-  size_t width_ = 0;
-  size_t depth_ = 0;
-  uint64_t seed_ = 0;
+  // Big-endian hosts only: the counters decoded to host order.
+  std::vector<uint64_t> decoded_;
+  // Into the mapping (8-aligned, as the batch walk needs) or decoded_.
+  const uint64_t* counters_ = nullptr;
   uint64_t total_count_ = 0;
-  bool conservative_update_ = false;
-  std::vector<hashing::LinearHash> hashes_;
-  // Kernel constants mirroring hashes_, so batched queries over the
-  // mapped rows run through the dispatched SIMD tiers (the payload's
-  // 8-byte alignment satisfies the kernel contract).
-  std::vector<sketch::kernels::HashKernelParams> kernel_params_;
+  sketch::CountMinLevels levels_;
 };
 
 }  // namespace opthash::io

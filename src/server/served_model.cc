@@ -1,6 +1,5 @@
 #include "server/served_model.h"
 
-#include <algorithm>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -36,6 +35,23 @@ void SortAndTruncateHitters(std::vector<sketch::HeavyHitter>& hitters,
                             size_t k) {
   sketch::SortHeavyHitters(hitters);
   if (hitters.size() > k) hitters.resize(k);
+}
+
+// Top-k of a model bundle, owned or mapped. The candidates are the learned
+// table's stored ids, the only keys the bundle tells apart (every other
+// key shares a classifier bucket), walked in ascending id order so the
+// scan is deterministic. Each answer is the stored bucket's average, the
+// same value a query for that id returns; it carries no deterministic
+// per-key bound.
+void StoredIdTopK(const core::LearnedTable& table,
+                  const core::BucketCounters& counters, size_t k,
+                  std::vector<sketch::HeavyHitter>& out) {
+  out.clear();
+  out.reserve(table.size());
+  for (const auto [id, bucket] : table) {
+    out.push_back({id, counters.Average(bucket), 0.0, false});
+  }
+  SortAndTruncateHitters(out, k);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,33 +228,10 @@ class BundleModel : public ServedModel {
 
   bool SupportsTopK() const override { return true; }
 
-  Status TopK(QueryContext& context, size_t k,
+  Status TopK(QueryContext& /*context*/, size_t k,
               std::vector<sketch::HeavyHitter>& out) const override {
-    // Candidate set: the learned table's stored ids — the only keys the
-    // bundle distinguishes individually (everything else shares classifier
-    // buckets). Ascending id order makes the scan deterministic; every
-    // candidate resolves in the table, so the classifier never runs. The
-    // bucket-average estimates carry no deterministic per-key bound.
-    std::vector<uint64_t> ids;
-    ids.reserve(bundle_->estimator->table().size());
-    for (const auto& [id, bucket] : bundle_->estimator->table()) {
-      ids.push_back(id);
-    }
-    std::sort(ids.begin(), ids.end());
-    out.clear();
-    out.reserve(ids.size());
-    constexpr size_t kChunk = 256;
-    double estimates[kChunk];
-    for (size_t base = 0; base < ids.size(); base += kChunk) {
-      const size_t chunk = std::min(kChunk, ids.size() - base);
-      EstimateBatch(context,
-                    Span<const uint64_t>(ids.data() + base, chunk),
-                    Span<double>(estimates, chunk));
-      for (size_t i = 0; i < chunk; ++i) {
-        out.push_back({ids[base + i], estimates[i], 0.0, false});
-      }
-    }
-    SortAndTruncateHitters(out, k);
+    StoredIdTopK(bundle_->estimator->table(),
+                 bundle_->estimator->bucket_counters(), k, out);
     return Status::OK();
   }
 
@@ -269,12 +262,17 @@ Status ReadOnlyError(const char* kind, const char* what) {
       what + " needs a full load (restart without --mmap)");
 }
 
-class MappedCountMinModel : public ServedModel {
+// A mapped view served read-only. The count-min view answers every point
+// query; the bundle view answers stored-id queries and top-k over its
+// stored ids.
+template <typename View>
+class MappedModel : public ServedModel {
  public:
-  explicit MappedCountMinModel(io::MappedCountMinView view)
-      : view_(std::move(view)) {}
+  explicit MappedModel(View view) : view_(std::move(view)) {}
 
-  const char* Kind() const override { return "mapped-count-min"; }
+  const char* Kind() const override {
+    return kBundle ? "mapped-model-bundle" : "mapped-count-min";
+  }
   bool ReadOnly() const override { return true; }
 
   Status Ingest(Span<const uint64_t>,
@@ -291,65 +289,16 @@ class MappedCountMinModel : public ServedModel {
     sketch::EstimateBatchAsDouble(view_, keys, out);
   }
 
-  Status SaveSnapshot(const std::string& path) const override {
-    (void)path;
-    return ReadOnlyError(Kind(), "snapshot rotation");
-  }
+  bool SupportsTopK() const override { return kBundle; }
 
-  uint64_t TotalItems() const override { return view_.total_count(); }
-
- private:
-  io::MappedCountMinView view_;
-};
-
-class MappedBundleModel : public ServedModel {
- public:
-  explicit MappedBundleModel(io::MappedEstimatorView view)
-      : view_(std::move(view)) {}
-
-  const char* Kind() const override { return "mapped-model-bundle"; }
-  bool ReadOnly() const override { return true; }
-
-  Status Ingest(Span<const uint64_t>,
-                const stream::ShardedIngestConfig&) override {
-    return ReadOnlyError(Kind(), "ingest");
-  }
-
-  std::unique_ptr<QueryContext> NewQueryContext() const override {
-    return std::make_unique<EmptyContext>();
-  }
-
-  void EstimateBatch(QueryContext& /*context*/, Span<const uint64_t> keys,
-                     Span<double> out) const override {
-    view_.EstimateBatch(keys, out);
-  }
-
-  bool SupportsTopK() const override { return true; }
-
-  Status TopK(QueryContext& /*context*/, size_t k,
+  Status TopK(QueryContext& context, size_t k,
               std::vector<sketch::HeavyHitter>& out) const override {
-    // Same candidate set as BundleModel — the stored-id table, already
-    // ascending on disk — through the view's batch path, so the mapped
-    // answers are bit-identical to the full-load bundle's.
-    const size_t stored = view_.num_stored_ids();
-    out.clear();
-    out.reserve(stored);
-    constexpr size_t kChunk = 256;
-    uint64_t ids[kChunk];
-    double estimates[kChunk];
-    for (size_t base = 0; base < stored; base += kChunk) {
-      const size_t chunk = std::min(kChunk, stored - base);
-      for (size_t i = 0; i < chunk; ++i) {
-        ids[i] = view_.StoredId(base + i);
-      }
-      view_.EstimateBatch(Span<const uint64_t>(ids, chunk),
-                          Span<double>(estimates, chunk));
-      for (size_t i = 0; i < chunk; ++i) {
-        out.push_back({ids[i], estimates[i], 0.0, false});
-      }
+    if constexpr (kBundle) {
+      StoredIdTopK(view_.table(), view_.bucket_counters(), k, out);
+      return Status::OK();
+    } else {
+      return ServedModel::TopK(context, k, out);
     }
-    SortAndTruncateHitters(out, k);
-    return Status::OK();
   }
 
   Status SaveSnapshot(const std::string& path) const override {
@@ -357,10 +306,12 @@ class MappedBundleModel : public ServedModel {
     return ReadOnlyError(Kind(), "snapshot rotation");
   }
 
-  uint64_t TotalItems() const override { return 0; }
+  uint64_t TotalItems() const override { return TotalItemsOf(view_, 0); }
 
  private:
-  io::MappedEstimatorView view_;
+  static constexpr bool kBundle =
+      std::is_same_v<View, io::MappedEstimatorView>;
+  View view_;
 };
 
 Status AmsRejected(const std::string& path) {
@@ -408,8 +359,9 @@ Result<OpenedModel> OpenSketch(const std::string& path, io::SectionType type,
             if (use_mmap) {
               auto view = io::MappedCountMinView::Open(path);
               if (!view.ok()) return view.status();
-              opened.model = std::make_unique<MappedCountMinModel>(
-                  std::move(view).value());
+              opened.model =
+                  std::make_unique<MappedModel<io::MappedCountMinView>>(
+                      std::move(view).value());
               opened.mmap_used = true;
               return opened;
             }
@@ -489,8 +441,8 @@ Result<OpenedModel> OpenServedModel(const std::string& path, bool use_mmap) {
     auto view = io::MappedEstimatorView::Open(path);
     if (!view.ok()) return view.status();
     OpenedModel opened;
-    opened.model =
-        std::make_unique<MappedBundleModel>(std::move(view).value());
+    opened.model = std::make_unique<MappedModel<io::MappedEstimatorView>>(
+        std::move(view).value());
     opened.mmap_used = true;
     return opened;
   }

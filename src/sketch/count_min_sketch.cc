@@ -15,12 +15,8 @@ namespace {
 constexpr size_t kKernelChunk = 256;
 }  // namespace
 
-CountMinSketch::CountMinSketch(size_t width, size_t depth, uint64_t seed,
-                               bool conservative_update)
-    : width_(width),
-      depth_(depth),
-      seed_(seed),
-      conservative_update_(conservative_update) {
+CountMinLevels::CountMinLevels(size_t width, size_t depth, uint64_t seed)
+    : width_(width) {
   OPTHASH_CHECK_GE(width, 1u);
   OPTHASH_CHECK_GE(depth, 1u);
   Rng rng(seed);
@@ -30,8 +26,47 @@ CountMinSketch::CountMinSketch(size_t width, size_t depth, uint64_t seed,
     hashes_.emplace_back(width, rng);
     kernel_params_.push_back(kernels::HashKernelParams::From(hashes_.back()));
   }
-  counters_.assign(width * depth, 0);
 }
+
+uint64_t CountMinLevels::Estimate(const uint64_t* counters,
+                                  uint64_t key) const {
+  uint64_t best = std::numeric_limits<uint64_t>::max();
+  for (size_t level = 0; level < hashes_.size(); ++level) {
+    best = std::min(best, counters[Index(level, key)]);
+  }
+  return best;
+}
+
+void CountMinLevels::EstimateBatch(const uint64_t* counters,
+                                   Span<const uint64_t> keys,
+                                   Span<uint64_t> out) const {
+  OPTHASH_CHECK_EQ(keys.size(), out.size());
+  // Level-major per block: one counter row at a time, min-folding into
+  // out, so the row's cache lines are touched together.
+  const kernels::KernelOps& ops = kernels::ActiveKernels();
+  uint64_t idx[kKernelChunk];
+  for (size_t begin = 0; begin < keys.size(); begin += kKernelChunk) {
+    const size_t block = std::min(kKernelChunk, keys.size() - begin);
+    uint64_t* out_block = out.data() + begin;
+    for (size_t i = 0; i < block; ++i) {
+      out_block[i] = std::numeric_limits<uint64_t>::max();
+    }
+    for (size_t level = 0; level < hashes_.size(); ++level) {
+      ops.hash_buckets(kernel_params_[level], keys.data() + begin, block,
+                       idx);
+      ops.min_gather_u64(counters + level * width_, idx, block, out_block);
+    }
+  }
+}
+
+CountMinSketch::CountMinSketch(size_t width, size_t depth, uint64_t seed,
+                               bool conservative_update)
+    : width_(width),
+      depth_(depth),
+      seed_(seed),
+      conservative_update_(conservative_update),
+      levels_(width, depth, seed),
+      counters_(width * depth, 0) {}
 
 Result<CountMinSketch> CountMinSketch::FromErrorBounds(double epsilon,
                                                        double delta,
@@ -52,7 +87,7 @@ void CountMinSketch::Update(uint64_t key, uint64_t count) {
   total_count_ += count;
   if (!conservative_update_) {
     for (size_t level = 0; level < depth_; ++level) {
-      counters_[level * width_ + hashes_[level](key)] += count;
+      counters_[levels_.Index(level, key)] += count;
     }
     return;
   }
@@ -60,12 +95,11 @@ void CountMinSketch::Update(uint64_t key, uint64_t count) {
   // max(counter, current_estimate + count).
   uint64_t current = std::numeric_limits<uint64_t>::max();
   for (size_t level = 0; level < depth_; ++level) {
-    current =
-        std::min(current, counters_[level * width_ + hashes_[level](key)]);
+    current = std::min(current, counters_[levels_.Index(level, key)]);
   }
   const uint64_t target = current + count;
   for (size_t level = 0; level < depth_; ++level) {
-    uint64_t& counter = counters_[level * width_ + hashes_[level](key)];
+    uint64_t& counter = counters_[levels_.Index(level, key)];
     counter = std::max(counter, target);
   }
 }
@@ -84,8 +118,8 @@ void CountMinSketch::UpdateBatch(Span<const uint64_t> keys) {
   for (size_t begin = 0; begin < keys.size(); begin += kKernelChunk) {
     const size_t block = std::min(kKernelChunk, keys.size() - begin);
     for (size_t level = 0; level < depth_; ++level) {
-      ops.hash_buckets(kernel_params_[level], keys.data() + begin, block,
-                       idx);
+      ops.hash_buckets(levels_.kernel_params(level), keys.data() + begin,
+                       block, idx);
       ops.scatter_add_u64(counters_.data() + level * width_, idx, block);
     }
   }
@@ -107,38 +141,6 @@ Status CountMinSketch::Merge(const CountMinSketch& other) {
   }
   total_count_ += other.total_count_;
   return Status::OK();
-}
-
-uint64_t CountMinSketch::Estimate(uint64_t key) const {
-  uint64_t best = std::numeric_limits<uint64_t>::max();
-  for (size_t level = 0; level < depth_; ++level) {
-    best = std::min(best, counters_[level * width_ + hashes_[level](key)]);
-  }
-  return best;
-}
-
-void CountMinSketch::EstimateBatch(Span<const uint64_t> keys,
-                                   Span<uint64_t> out) const {
-  OPTHASH_CHECK_EQ(keys.size(), out.size());
-  // Level-major per block: one counter row at a time, min-folding into
-  // out, so the row's cache lines are touched together. Hashing and the
-  // gather-min run through the dispatched kernel tier; results are
-  // bit-identical to the per-key Estimate loop on every tier.
-  const kernels::KernelOps& ops = kernels::ActiveKernels();
-  uint64_t idx[kKernelChunk];
-  for (size_t begin = 0; begin < keys.size(); begin += kKernelChunk) {
-    const size_t block = std::min(kKernelChunk, keys.size() - begin);
-    uint64_t* out_block = out.data() + begin;
-    for (size_t i = 0; i < block; ++i) {
-      out_block[i] = std::numeric_limits<uint64_t>::max();
-    }
-    for (size_t level = 0; level < depth_; ++level) {
-      ops.hash_buckets(kernel_params_[level], keys.data() + begin, block,
-                       idx);
-      ops.min_gather_u64(counters_.data() + level * width_, idx, block,
-                         out_block);
-    }
-  }
 }
 
 double CountMinSketch::Epsilon() const {

@@ -13,6 +13,43 @@
 
 namespace opthash::sketch {
 
+/// \brief Count-min's d levels: the level hashes drawn from (width, depth,
+/// seed) and the query walk over a row-major depth x width counter matrix.
+/// CountMinSketch walks its own counters and io::MappedCountMinView the
+/// mapped ones, so both answer through this one code path.
+class CountMinLevels {
+ public:
+  CountMinLevels() = default;
+  CountMinLevels(size_t width, size_t depth, uint64_t seed);
+
+  /// Position of `key`'s counter at `level` in the counter matrix.
+  size_t Index(size_t level, uint64_t key) const {
+    return level * width_ + hashes_[level](key);
+  }
+  const kernels::HashKernelParams& kernel_params(size_t level) const {
+    return kernel_params_[level];
+  }
+
+  /// Point query over the matrix at `counters`: min over levels.
+  uint64_t Estimate(const uint64_t* counters, uint64_t key) const;
+
+  /// out[i] = Estimate(counters, keys[i]), allocation-free. Walks the
+  /// matrix level-major per block, hashing and gather-min through the
+  /// dispatched kernel tier (bit-identical on every tier); `counters` must
+  /// be 8-aligned. keys.size() must equal out.size().
+  void EstimateBatch(const uint64_t* counters, Span<const uint64_t> keys,
+                     Span<uint64_t> out) const;
+
+  size_t width() const { return width_; }
+  size_t depth() const { return hashes_.size(); }
+
+ private:
+  size_t width_ = 0;
+  std::vector<hashing::LinearHash> hashes_;
+  // Kernel constants mirroring hashes_ for the SIMD batch paths.
+  std::vector<kernels::HashKernelParams> kernel_params_;
+};
+
 /// \brief The Count-Min Sketch (Cormode & Muthukrishnan 2005, ref [11]).
 ///
 /// Maintains d arrays ("levels") of w counters each. Every update increments
@@ -82,14 +119,15 @@ class CountMinSketch {
   }
 
   /// Point query: min over levels, never below the true count.
-  uint64_t Estimate(uint64_t key) const;
+  uint64_t Estimate(uint64_t key) const {
+    return levels_.Estimate(counters_.data(), key);
+  }
 
-  /// Batched point queries: out[i] = Estimate(keys[i]), allocation-free.
-  /// Walks the counter matrix level-major, so each level's row is
-  /// traversed once per block instead of the scalar path's per-key level
-  /// hopping — the counter reads batch cache-friendly. keys.size() must
-  /// equal out.size().
-  void EstimateBatch(Span<const uint64_t> keys, Span<uint64_t> out) const;
+  /// Batched point queries: out[i] = Estimate(keys[i]), allocation-free
+  /// (CountMinLevels::EstimateBatch). keys.size() must equal out.size().
+  void EstimateBatch(Span<const uint64_t> keys, Span<uint64_t> out) const {
+    levels_.EstimateBatch(counters_.data(), keys, out);
+  }
 
   /// Total updates seen (= ||f||_1 for unit increments).
   uint64_t total_count() const { return total_count_; }
@@ -128,10 +166,7 @@ class CountMinSketch {
   size_t depth_;
   uint64_t seed_;
   bool conservative_update_;
-  std::vector<hashing::LinearHash> hashes_;
-  // Per-level kernel constants mirroring hashes_ (sketch/kernels/) so the
-  // batch paths hash through the runtime-dispatched SIMD tiers.
-  std::vector<kernels::HashKernelParams> kernel_params_;
+  CountMinLevels levels_;
   std::vector<uint64_t> counters_;  // depth_ x width_, row-major.
   uint64_t total_count_ = 0;
 };

@@ -7,7 +7,9 @@
 
 #include <cstdint>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/opt_hash_estimator.h"
@@ -329,6 +331,36 @@ TEST(ModelIoTest, EstimatorRejectsClassifierWithMoreClassesThanBuckets) {
         << rejected.ToString();
     EXPECT_TRUE(load(2, 2).ok());
     EXPECT_TRUE(load(4, 2).ok());
+  }
+}
+
+// Loads a text bundle whose two-entry learned table lists `first`, then
+// `second`.
+Status LoadTextBundleWithTable(uint64_t first, uint64_t second) {
+  std::ostringstream text;
+  text << "opthash.bundle.v1\n";
+  stream::BagOfWordsFeaturizer featurizer(16);
+  featurizer.Fit({{"alpha beta", 1.0}});
+  featurizer.SerializeTo(text);
+  text << "opthash.estimator.v1 2 2 none\n1 1 \n1 1 \n"
+       << first << " 0\n" << second << " 1\n";
+  const std::string path = ::testing::TempDir() + "/model_io_table_" +
+                           std::to_string(first) + "_" +
+                           std::to_string(second) + ".txt";
+  std::ofstream(path, std::ios::binary) << text.str();
+  return LoadModelBundle(path).status();
+}
+
+TEST(ModelIoTest, TextLoadRejectsRepeatedOrUnsortedTableIds) {
+  EXPECT_TRUE(LoadTextBundleWithTable(5, 6).ok());
+  for (const auto& [first, second] : {std::pair<uint64_t, uint64_t>{5, 5},
+                                      std::pair<uint64_t, uint64_t>{6, 5}}) {
+    const Status rejected = LoadTextBundleWithTable(first, second);
+    EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument)
+        << first << " then " << second;
+    EXPECT_NE(rejected.message().find("strictly ascending"),
+              std::string::npos)
+        << rejected.ToString();
   }
 }
 

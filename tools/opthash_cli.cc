@@ -639,45 +639,45 @@ int PrintEstimatesBatch(const Flags& flags, size_t block_size,
 
 int RestoreBundle(const Flags& flags, const std::string& in, bool use_mmap,
                   size_t block_size) {
+  // Restored serving answers featureless id queries, which the learned
+  // table alone resolves, owned or mapped alike.
+  std::optional<io::MappedEstimatorView> view;
+  std::optional<io::ModelBundle> bundle;
+  core::LearnedTable table;
+  core::BucketCounters counters;
   if (use_mmap) {
-    auto view = io::MappedEstimatorView::Open(in);
-    if (!view.ok()) return Fail(view.status());
+    auto opened = io::MappedEstimatorView::Open(in);
+    if (!opened.ok()) return Fail(opened.status());
+    view = std::move(opened).value();
     ReportLoadMode(/*mmap=*/true);
     if (!flags.Has("trace")) {
       std::printf(
           "mapped model bundle: %zu buckets, %zu stored ids (stored-id "
           "queries only)\n",
-          view.value().num_buckets(), view.value().num_stored_ids());
+          view->num_buckets(), view->num_stored_ids());
       return 0;
     }
-    return PrintEstimatesBatch(
-        flags, block_size,
-        [&view](Span<const uint64_t> keys, Span<double> out) {
-          view.value().EstimateBatch(keys, out);
-        });
+    table = view->table();
+    counters = view->bucket_counters();
+  } else {
+    auto loaded = io::LoadModelBundle(in);
+    if (!loaded.ok()) return Fail(loaded.status());
+    bundle = std::move(loaded).value();
+    ReportLoadMode(/*mmap=*/false);
+    if (!flags.Has("trace")) {
+      std::printf("model bundle: %zu buckets, %zu stored ids, %.2f KB\n",
+                  bundle->estimator->num_buckets(),
+                  bundle->estimator->num_stored_ids(),
+                  bundle->estimator->MemoryKb());
+      return 0;
+    }
+    table = bundle->estimator->table();
+    counters = bundle->estimator->bucket_counters();
   }
-  auto bundle = io::LoadModelBundle(in);
-  if (!bundle.ok()) return Fail(bundle.status());
-  ReportLoadMode(/*mmap=*/false);
-  if (!flags.Has("trace")) {
-    std::printf("model bundle: %zu buckets, %zu stored ids, %.2f KB\n",
-                bundle.value().estimator->num_buckets(),
-                bundle.value().estimator->num_stored_ids(),
-                bundle.value().estimator->MemoryKb());
-    return 0;
-  }
-  // Restored serving answers the same id-keyed queries the checkpointed
-  // estimator would; featureless queries resolve through the stored table.
-  std::vector<stream::StreamItem> items;
   return PrintEstimatesBatch(
       flags, block_size,
-      [&bundle, &items](Span<const uint64_t> keys, Span<double> out) {
-        items.resize(keys.size());
-        for (size_t i = 0; i < keys.size(); ++i) {
-          items[i] = {keys[i], nullptr};
-        }
-        bundle.value().estimator->EstimateBatch(
-            Span<const stream::StreamItem>(items.data(), items.size()), out);
+      [&table, &counters](Span<const uint64_t> keys, Span<double> out) {
+        core::EstimateStoredIds(table, counters, keys, out);
       });
 }
 
