@@ -61,19 +61,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   opthash::Status remote = opthash::Status::OK();
   ExpectedRejectionIsFine(DecodeErrorResponse(payload, remote));
 
-  // A scoped envelope that decodes hands back an inner payload view —
-  // walk one level the way the server dispatch does (nesting is
-  // rejected by the decoder itself).
-  RequestHeader header;
-  opthash::Span<const uint8_t> inner;
-  if (DecodeScopedRequest(payload, header, inner).ok()) {
-    auto inner_type = PeekMessageType(inner);
-    ExpectedRejectionIsFine(
-        DecodeKeyRequest(inner, MessageType::kQuery, keys));
-    ExpectedRejectionIsFine(DecodeEmptyMessage(inner, MessageType::kPing));
-    if (auto k = DecodeTopKRequest(inner); k.ok()) (void)*k;
-    (void)inner_type;
-  }
   (void)type;
   return 0;
 }

@@ -50,8 +50,6 @@ def frame_seeds():
             u64(2**63),
         "ingest_two_keys": bytes([2]) + u32(2) + u64(7) + u64(7),
         "topk_request": bytes([7]) + u32(32),
-        "scoped_ping": bytes([9, 1]) + u32(0) + bytes([4]),
-        "scoped_window_stats": bytes([9, 1]) + u32(6) + bytes([10]),
         "estimates_reply": bytes([129]) + u32(2) + f64(1.5) + f64(0.0),
         "ack_reply": bytes([130]) + u64(123456),
         "topk_reply_one_hitter": bytes([133]) + u32(1) + u64(9) +
@@ -66,8 +64,6 @@ def frame_seeds():
         "hostile_truncated_query": bytes([1]) + u32(100) + u64(1),
         "hostile_overdeclared_windows": bytes([135]) + u64(0) * 3 +
             f64(1.0) + u32(200) + u64(1),
-        "hostile_nested_envelope": bytes([9, 1]) + u32(0) +
-            bytes([9, 1]) + u32(0) + bytes([4]),
         "hostile_topk_flag_byte_2": bytes([133]) + u32(1) + u64(9) +
             f64(10.0) + f64(0.5) + bytes([2]),
     }

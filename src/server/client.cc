@@ -46,9 +46,7 @@ Result<Client> Client::Connect(const std::string& target) {
 
 Client::Client(Client&& other) noexcept
     : fd_(other.fd_),
-      model_id_(other.model_id_),
       request_frame_(std::move(other.request_frame_)),
-      scoped_frame_(std::move(other.scoped_frame_)),
       response_payload_(std::move(other.response_payload_)) {
   other.fd_ = -1;
 }
@@ -57,9 +55,7 @@ Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     CloseSocket(fd_);
     fd_ = other.fd_;
-    model_id_ = other.model_id_;
     request_frame_ = std::move(other.request_frame_);
-    scoped_frame_ = std::move(other.scoped_frame_);
     response_payload_ = std::move(other.response_payload_);
     other.fd_ = -1;
   }
@@ -68,28 +64,11 @@ Client& Client::operator=(Client&& other) noexcept {
 
 Client::~Client() { CloseSocket(fd_); }
 
-Status Client::RoundTrip() {
+Result<Span<const uint8_t>> Client::Call() {
   if (fd_ < 0) return Status::FailedPrecondition("client not connected");
   OPTHASH_IO_RETURN_IF_ERROR(WriteAll(
       fd_, Span<const uint8_t>(request_frame_.data(), request_frame_.size())));
-  return ReadFramePayload(fd_, response_payload_);
-}
-
-Result<Span<const uint8_t>> Client::Call() {
-  if (model_id_ != 0) {
-    // Wrap the already-encoded request in a scoped envelope. The swap
-    // keeps both buffers' capacity alive across calls, so a warm scoped
-    // session still encodes without heap allocation.
-    RequestHeader header;
-    header.model_id = model_id_;
-    EncodeScopedRequest(
-        header,
-        Span<const uint8_t>(request_frame_.data() + kFrameHeaderSize,
-                            request_frame_.size() - kFrameHeaderSize),
-        scoped_frame_);
-    request_frame_.swap(scoped_frame_);
-  }
-  OPTHASH_IO_RETURN_IF_ERROR(RoundTrip());
+  OPTHASH_IO_RETURN_IF_ERROR(ReadFramePayload(fd_, response_payload_));
   const Span<const uint8_t> payload(response_payload_.data(),
                                     response_payload_.size());
   OPTHASH_IO_ASSIGN(type, PeekMessageType(payload));
@@ -110,9 +89,9 @@ Status Client::Query(Span<const uint64_t> keys, std::vector<double>& out) {
   // Transparent chunking: spans beyond one frame's key capacity become
   // several requests (the encoder would otherwise trip its frame-size
   // invariant — an abort, not a Status).
-  const size_t max_keys = MaxKeysPerRequest();
-  for (size_t base = 0; base < keys.size() || base == 0; base += max_keys) {
-    const Span<const uint64_t> chunk = keys.subspan(base, max_keys);
+  for (size_t base = 0; base < keys.size() || base == 0;
+       base += kMaxKeysPerFrame) {
+    const Span<const uint64_t> chunk = keys.subspan(base, kMaxKeysPerFrame);
     EncodeKeyRequest(MessageType::kQuery, chunk, request_frame_);
     OPTHASH_IO_ASSIGN(payload, Call());
     OPTHASH_IO_RETURN_IF_ERROR(
@@ -130,9 +109,9 @@ Status Client::Query(Span<const uint64_t> keys, std::vector<double>& out) {
 
 Result<uint64_t> Client::Ingest(Span<const uint64_t> keys) {
   uint64_t total = 0;
-  const size_t max_keys = MaxKeysPerRequest();
-  for (size_t base = 0; base < keys.size() || base == 0; base += max_keys) {
-    const Span<const uint64_t> chunk = keys.subspan(base, max_keys);
+  for (size_t base = 0; base < keys.size() || base == 0;
+       base += kMaxKeysPerFrame) {
+    const Span<const uint64_t> chunk = keys.subspan(base, kMaxKeysPerFrame);
     EncodeKeyRequest(MessageType::kIngest, chunk, request_frame_);
     OPTHASH_IO_ASSIGN(payload, Call());
     OPTHASH_IO_ASSIGN(acked, DecodeAckResponse(payload));

@@ -75,36 +75,17 @@ class Client {
   /// Asks the daemon to shut down cleanly (acknowledged before it does).
   Status Shutdown();
 
-  /// Addresses every subsequent request to this model id by wrapping it
-  /// in a kScopedRequest envelope. Id 0 (the default) sends bare frames
-  /// — byte-identical to a client predating the envelope. Non-zero ids
-  /// are answered NotFound until the multi-bundle registry lands.
-  void set_model_id(uint32_t id) { model_id_ = id; }
-  uint32_t model_id() const { return model_id_; }
-
  private:
   explicit Client(int fd) : fd_(fd) {}
 
-  /// Sends request_frame_ and reads one response payload into
-  /// response_payload_; decodes a kError response into the remote Status.
-  Status RoundTrip();
-
-  /// The single request/reply path every verb funnels through: wraps
-  /// request_frame_ in a scoped envelope when model_id_ != 0, round-trips
-  /// it, surfaces a kError reply as the remote Status, and returns the
-  /// reply payload for the verb to decode.
+  /// The single request/reply path every verb funnels through: sends
+  /// request_frame_, reads one response payload into response_payload_,
+  /// surfaces a kError reply as the remote Status, and returns the reply
+  /// payload for the verb to decode.
   Result<Span<const uint8_t>> Call();
 
-  /// Keys per request frame: one fewer than the frame maximum when the
-  /// scoped envelope's 6 header bytes ride along.
-  size_t MaxKeysPerRequest() const {
-    return model_id_ == 0 ? kMaxKeysPerFrame : kMaxKeysPerFrame - 1;
-  }
-
   int fd_ = -1;
-  uint32_t model_id_ = 0;
   std::vector<uint8_t> request_frame_;
-  std::vector<uint8_t> scoped_frame_;
   std::vector<uint8_t> response_payload_;
 };
 

@@ -7,7 +7,6 @@
 #include "server/protocol.h"
 #include "server/socket_io.h"
 
-#ifndef _WIN32
 #include <errno.h>
 #include <fcntl.h>
 #include <sys/socket.h>
@@ -16,7 +15,6 @@
 #include <sys/epoll.h>
 #else
 #include <poll.h>
-#endif
 #endif
 
 namespace opthash::server {
@@ -59,8 +57,6 @@ struct EventLoop::Connection {
   double last_active = 0.0;
   std::unique_ptr<SessionState> session;
 };
-
-#ifndef _WIN32
 
 /// Readiness backend: epoll on Linux, poll(2) on other POSIX systems.
 /// The loop never blocks in the poller longer than poll_millis, so stop
@@ -499,39 +495,6 @@ void EventLoop::CloseConnection(int fd) {
   connections_.erase(it);
   connection_count_.fetch_sub(1, std::memory_order_acq_rel);
 }
-
-#else  // _WIN32
-
-class EventLoop::Poller {};
-
-EventLoop::EventLoop(EventLoopConfig config, SessionFactory factory,
-                     FrameHandler handler)
-    : config_(std::move(config)),
-      factory_(std::move(factory)),
-      handler_(std::move(handler)) {}
-
-EventLoop::~EventLoop() { Stop(); }
-
-Status EventLoop::Start() {
-  return Status::FailedPrecondition(
-      "the opthash event loop requires POSIX sockets, unavailable in this "
-      "build");
-}
-void EventLoop::Stop() {}
-Status EventLoop::Adopt(int) {
-  return Status::FailedPrecondition("event loop unavailable in this build");
-}
-void EventLoop::Wake() {}
-void EventLoop::Run() {}
-void EventLoop::AdoptPending() {}
-void EventLoop::HandleReadable(Connection&) {}
-void EventLoop::ParseFrames(Connection&) {}
-void EventLoop::FlushWrites(Connection&) {}
-void EventLoop::UpdateInterest(Connection&) {}
-void EventLoop::SweepIdle() {}
-void EventLoop::CloseConnection(int) {}
-
-#endif  // _WIN32
 
 EventLoopPool::EventLoopPool(size_t loops, EventLoopConfig config,
                              EventLoop::SessionFactory factory,

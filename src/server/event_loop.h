@@ -33,9 +33,7 @@ namespace opthash::server {
 /// a framing violation (oversized length prefix, peer vanishing
 /// mid-frame) answers one kError frame and then hangs up; handler-level
 /// protocol errors close after the response; semantic errors keep the
-/// session. Backends: epoll on Linux, poll(2) elsewhere; _WIN32 builds
-/// fail Start() with FailedPrecondition like the rest of the socket
-/// layer.
+/// session. Backends: epoll on Linux, poll(2) on other POSIX systems.
 struct EventLoopConfig {
   /// Wait cap per loop iteration; bounds shutdown latency and the
   /// idle-timeout sweep cadence.

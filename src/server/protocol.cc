@@ -79,8 +79,6 @@ const char* MessageTypeName(MessageType type) {
       return "topk";
     case MessageType::kMetrics:
       return "metrics";
-    case MessageType::kScopedRequest:
-      return "scoped-request";
     case MessageType::kWindowStats:
       return "window-stats";
     case MessageType::kEstimates:
@@ -216,17 +214,6 @@ void EncodeWindowStatsReply(const WindowStatsSnapshot& stats,
   SealFrame(frame);
 }
 
-void EncodeScopedRequest(const RequestHeader& header,
-                         Span<const uint8_t> inner_payload,
-                         std::vector<uint8_t>& frame) {
-  OPTHASH_CHECK_MSG(!inner_payload.empty(), "empty scoped inner payload");
-  BeginFrame(frame, MessageType::kScopedRequest);
-  AppendU8(frame, header.version);
-  AppendU32(frame, header.model_id);
-  frame.insert(frame.end(), inner_payload.begin(), inner_payload.end());
-  SealFrame(frame);
-}
-
 Result<MessageType> PeekMessageType(Span<const uint8_t> payload) {
   if (payload.empty()) {
     return Status::InvalidArgument("empty frame payload");
@@ -241,7 +228,6 @@ Result<MessageType> PeekMessageType(Span<const uint8_t> payload) {
     case MessageType::kShutdown:
     case MessageType::kTopK:
     case MessageType::kMetrics:
-    case MessageType::kScopedRequest:
     case MessageType::kWindowStats:
     case MessageType::kEstimates:
     case MessageType::kAck:
@@ -459,32 +445,6 @@ Result<WindowStatsSnapshot> DecodeWindowStatsReply(
         io::LoadLittleU64(counts + static_cast<size_t>(i) * 8));
   }
   return stats;
-}
-
-Status DecodeScopedRequest(Span<const uint8_t> payload, RequestHeader& header,
-                           Span<const uint8_t>& inner) {
-  OPTHASH_IO_ASSIGN(type, PeekMessageType(payload));
-  if (type != MessageType::kScopedRequest) {
-    return Status::InvalidArgument(
-        std::string("expected scoped-request, got ") + MessageTypeName(type));
-  }
-  constexpr size_t kHeaderBytes = 1 + 1 + sizeof(uint32_t);
-  if (payload.size() < kHeaderBytes + 1) {
-    return ShortPayload("scoped-request");
-  }
-  header.version = payload[1];
-  if (header.version != kRequestHeaderVersion) {
-    return Status::InvalidArgument(
-        "unsupported request-header version " +
-        std::to_string(header.version));
-  }
-  header.model_id = io::LoadLittleU32(payload.data() + 2);
-  inner = Span<const uint8_t>(payload.data() + kHeaderBytes,
-                              payload.size() - kHeaderBytes);
-  if (static_cast<MessageType>(inner[0]) == MessageType::kScopedRequest) {
-    return Status::InvalidArgument("scoped-request envelopes cannot nest");
-  }
-  return Status::OK();
 }
 
 Status DecodeErrorResponse(Span<const uint8_t> payload, Status& remote) {

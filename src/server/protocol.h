@@ -52,10 +52,8 @@ enum class MessageType : uint8_t {
   kShutdown = 6,  // (empty)                     -> kAck(0), then shutdown
   kTopK = 7,      // u32 k                       -> kTopKReply
   kMetrics = 8,   // (empty)                     -> kMetricsReply
-  // Envelope: u8 header version, u32 model id, then one complete inner
-  // request payload (type byte onward). The model-id field is the hook
-  // for the future multi-bundle registry; today only id 0 is served.
-  kScopedRequest = 9,
+  // 9 is retired (a scoped-request envelope that only ever served model
+  // id 0). It is rejected as an unknown type and must never be reused.
   kWindowStats = 10,  // (empty)                   -> kWindowStatsReply
   // Responses.
   kEstimates = 129,  // u32 count, count x f64
@@ -69,20 +67,6 @@ enum class MessageType : uint8_t {
 };
 
 const char* MessageTypeName(MessageType type);
-
-/// Current (and only) scoped-request header version.
-inline constexpr uint8_t kRequestHeaderVersion = 1;
-
-/// The versioned request header carried by a kScopedRequest envelope.
-/// PR-5 reserved a model-id request form without defining it; this struct
-/// is that definition. The server resolves `model_id` before dispatching
-/// the inner request — non-default ids are rejected with kError(NotFound)
-/// until the multi-bundle registry lands, at which point the same header
-/// routes requests to named bundles without a wire change.
-struct RequestHeader {
-  uint8_t version = kRequestHeaderVersion;
-  uint32_t model_id = 0;
-};
 
 /// Operational counters served by the kStats request; also the
 /// human-readable output of `opthash_client stats`.
@@ -148,13 +132,6 @@ void EncodeMetricsReply(const std::string& text, std::vector<uint8_t>& frame);
 void EncodeWindowStatsReply(const WindowStatsSnapshot& stats,
                             std::vector<uint8_t>& frame);
 
-/// kScopedRequest envelope around one complete inner request payload
-/// (type byte onward — NOT a length-prefixed frame). The inner payload
-/// must itself fit the enveloped frame within kMaxFramePayload.
-void EncodeScopedRequest(const RequestHeader& header,
-                         Span<const uint8_t> inner_payload,
-                         std::vector<uint8_t>& frame);
-
 // --------------------------------------------------------------------------
 // Decoding. Input is one frame payload (the bytes after the length
 // prefix). Every decoder rejects a short, oversized, or inconsistent body
@@ -192,12 +169,6 @@ Status DecodeMetricsReply(Span<const uint8_t> payload, std::string& text);
 /// the payload size exactly.
 Result<WindowStatsSnapshot> DecodeWindowStatsReply(
     Span<const uint8_t> payload);
-
-/// Decodes a kScopedRequest envelope. `inner` aliases `payload` (no
-/// copy) and holds one complete inner request payload. Rejects unknown
-/// header versions, empty inner payloads, and nested envelopes.
-Status DecodeScopedRequest(Span<const uint8_t> payload, RequestHeader& header,
-                           Span<const uint8_t>& inner);
 
 /// Reconstructs the remote Status carried by a kError payload into
 /// `remote`; the return value reports whether the payload itself decoded.

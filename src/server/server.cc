@@ -14,9 +14,7 @@
 #include "server/tcp_listener.h"
 #include "sketch/kernels/simd_dispatch.h"
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 namespace opthash::server {
 
@@ -90,9 +88,7 @@ Status Server::Start() {
     if (listen_fd_ >= 0) {
       CloseSocket(listen_fd_);
       listen_fd_ = -1;
-#ifndef _WIN32
       ::unlink(config_.socket_path.c_str());
-#endif
     }
     if (tcp_listen_fd_ >= 0) {
       CloseSocket(tcp_listen_fd_);
@@ -177,13 +173,11 @@ void Server::RequestShutdown() {
                    std::strerror(errno));
     }
     listen_fd_ = -1;
-#ifndef _WIN32
     if (::unlink(config_.socket_path.c_str()) != 0 && errno != ENOENT) {
       teardown_errors_.fetch_add(1);
       std::fprintf(stderr, "opthash_serve: unlink %s: %s\n",
                    config_.socket_path.c_str(), std::strerror(errno));
     }
-#endif
   }
   if (tcp_listen_fd_ >= 0) {
     if (!CloseSocket(tcp_listen_fd_)) {
@@ -421,30 +415,6 @@ bool Server::HandleRequest(Span<const uint8_t> payload,
       window_stats_requests_.fetch_add(1);
       return true;
     }
-    case MessageType::kScopedRequest: {
-      RequestHeader header;
-      Span<const uint8_t> inner;
-      const Status decoded = DecodeScopedRequest(payload, header, inner);
-      if (!decoded.ok()) {
-        EncodeErrorResponse(decoded, response);
-        return false;
-      }
-      if (header.model_id != 0) {
-        // The header is the hook for the future multi-bundle registry;
-        // until it lands only the default model exists. Clean semantic
-        // error, session survives.
-        EncodeErrorResponse(
-            Status::NotFound(
-                "no model with id " + std::to_string(header.model_id) +
-                ": this daemon serves a single default model (id 0)"),
-            response);
-        return true;
-      }
-      // The decoder rejects nested envelopes, so this recursion is one
-      // level deep at most.
-      return HandleRequest(inner, context, keys, estimates, hitters,
-                           response);
-    }
     case MessageType::kShutdown: {
       const Status decoded =
           DecodeEmptyMessage(payload, MessageType::kShutdown);
@@ -553,7 +523,7 @@ std::string Server::RenderPrometheusMetrics() const {
   // alert on an unexpected "scalar" after a fleet rollout.
   out +=
       "# HELP opthash_simd_tier_info Active sketch kernel tier "
-      "(label `tier`: scalar, avx2 or neon).\n"
+      "(label `tier`: scalar or avx2).\n"
       "# TYPE opthash_simd_tier_info gauge\n"
       "opthash_simd_tier_info{tier=\"";
   out += sketch::kernels::KernelTierName(sketch::kernels::ActiveKernelTier());

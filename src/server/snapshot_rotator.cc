@@ -8,14 +8,10 @@
 
 #include "io/bytes.h"
 
-#ifndef _WIN32
 #include <dirent.h>
 #include <errno.h>
 #include <sys/stat.h>
 #include <sys/types.h>
-#else
-#include <direct.h>
-#endif
 
 namespace opthash::server {
 namespace {
@@ -49,11 +45,7 @@ bool ParseSequence(const std::string& name, uint64_t& sequence) {
 }
 
 Status EnsureDirectory(const std::string& dir) {
-#ifndef _WIN32
   if (::mkdir(dir.c_str(), 0777) == 0 || errno == EEXIST) return Status::OK();
-#else
-  if (::_mkdir(dir.c_str()) == 0 || errno == EEXIST) return Status::OK();
-#endif
   return Status::Internal("mkdir " + dir + ": " + std::strerror(errno));
 }
 
@@ -88,7 +80,6 @@ SnapshotRotator::~SnapshotRotator() { Stop(); }
 Result<std::vector<std::pair<uint64_t, std::string>>>
 SnapshotRotator::ListRotated(const std::string& dir) {
   std::vector<std::pair<uint64_t, std::string>> rotated;
-#ifndef _WIN32
   DIR* handle = ::opendir(dir.c_str());
   if (handle == nullptr) {
     return Status::NotFound("opendir " + dir + ": " + std::strerror(errno));
@@ -100,10 +91,6 @@ SnapshotRotator::ListRotated(const std::string& dir) {
     }
   }
   ::closedir(handle);
-#else
-  return Status::FailedPrecondition(
-      "snapshot rotation requires POSIX directory enumeration");
-#endif
   std::sort(rotated.begin(), rotated.end());
   return rotated;
 }

@@ -5,18 +5,14 @@
 #include "io/bytes.h"
 #include "server/protocol.h"
 
-#ifndef _WIN32
 #include <errno.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
 
 namespace opthash::server {
-
-#ifndef _WIN32
 
 namespace {
 
@@ -25,8 +21,6 @@ Status Errno(const std::string& what) {
 }
 
 }  // namespace
-
-bool UnixSocketsSupported() { return true; }
 
 Result<int> ListenUnix(const std::string& path, int backlog) {
   sockaddr_un addr{};
@@ -80,21 +74,6 @@ Result<int> ConnectUnix(const std::string& path) {
   return fd;
 }
 
-Result<int> AcceptWithTimeout(int listen_fd, int timeout_millis) {
-  pollfd poll_fd{};
-  poll_fd.fd = listen_fd;
-  poll_fd.events = POLLIN;
-  const int ready = ::poll(&poll_fd, 1, timeout_millis);
-  if (ready < 0) {
-    if (errno == EINTR) return Status::NotFound("accept interrupted");
-    return Errno("poll");
-  }
-  if (ready == 0) return Status::NotFound("accept timeout");
-  const int fd = ::accept(listen_fd, nullptr, nullptr);
-  if (fd < 0) return Errno("accept");
-  return fd;
-}
-
 Result<AcceptedSocket> AcceptAnyWithTimeout(Span<const int> listen_fds,
                                             int timeout_millis) {
   pollfd poll_fds[8];
@@ -134,10 +113,6 @@ Status SetNonBlocking(int fd) {
 bool CloseSocket(int fd) {
   if (fd < 0) return true;
   return ::close(fd) == 0;
-}
-
-void ShutdownSocket(int fd) {
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
 Status WriteAll(int fd, Span<const uint8_t> bytes) {
@@ -206,30 +181,5 @@ Status ReadFramePayload(int fd, std::vector<uint8_t>& payload) {
   if (length == 0) return Status::OK();
   return ReadExact(fd, payload.data(), length, /*at_boundary=*/false);
 }
-
-#else  // _WIN32
-
-namespace {
-Status Unsupported() {
-  return Status::FailedPrecondition(
-      "opthash serving requires Unix-domain sockets, unavailable in this "
-      "build");
-}
-}  // namespace
-
-bool UnixSocketsSupported() { return false; }
-Result<int> ListenUnix(const std::string&, int) { return Unsupported(); }
-Result<int> ConnectUnix(const std::string&) { return Unsupported(); }
-Result<int> AcceptWithTimeout(int, int) { return Unsupported(); }
-Result<AcceptedSocket> AcceptAnyWithTimeout(Span<const int>, int) {
-  return Unsupported();
-}
-Status SetNonBlocking(int) { return Unsupported(); }
-bool CloseSocket(int) { return true; }
-void ShutdownSocket(int) {}
-Status WriteAll(int, Span<const uint8_t>) { return Unsupported(); }
-Status ReadFramePayload(int, std::vector<uint8_t>&) { return Unsupported(); }
-
-#endif  // _WIN32
 
 }  // namespace opthash::server

@@ -11,13 +11,7 @@
 namespace opthash::server {
 
 /// POSIX Unix-domain stream sockets plus the frame read/write loop shared
-/// by the server's session threads and the client library. On platforms
-/// without AF_UNIX support (_WIN32 builds) every entry point fails with a
-/// clean FailedPrecondition instead of refusing to compile — the rest of
-/// the library stays usable there.
-
-/// True when this build can open Unix-domain sockets at all.
-bool UnixSocketsSupported();
+/// by the server's session threads and the client library.
 
 /// Creates, binds and listens on a Unix-domain stream socket at `path`.
 /// A stale socket file from a crashed previous daemon is unlinked first
@@ -27,11 +21,6 @@ Result<int> ListenUnix(const std::string& path, int backlog = 16);
 
 /// Connects to a listening Unix-domain socket.
 Result<int> ConnectUnix(const std::string& path);
-
-/// accept(2) with a poll timeout so callers can observe a stop flag:
-/// returns the accepted fd, NotFound on timeout (no pending connection),
-/// or an error Status.
-Result<int> AcceptWithTimeout(int listen_fd, int timeout_millis);
 
 /// One accepted connection plus which listener produced it (the daemon
 /// polls its Unix and TCP listeners together; the index tells it which
@@ -43,7 +32,8 @@ struct AcceptedSocket {
 
 /// accept(2) across several listening sockets with one poll timeout;
 /// accept(2) itself is transport-agnostic, so the fds may mix AF_UNIX
-/// and AF_INET listeners. NotFound on timeout, like AcceptWithTimeout.
+/// and AF_INET listeners. Returns the accepted socket, NotFound on
+/// timeout (no pending connection), or an error Status.
 Result<AcceptedSocket> AcceptAnyWithTimeout(Span<const int> listen_fds,
                                             int timeout_millis);
 
@@ -58,9 +48,6 @@ Status SetNonBlocking(int fd);
 /// errors. Best-effort callers may still ignore the result (bool is not
 /// [[nodiscard]] — discarding it is an explicit local decision).
 bool CloseSocket(int fd);
-
-/// shutdown(2) both directions — unblocks a peer thread parked in read.
-void ShutdownSocket(int fd);
 
 /// Writes all of `bytes` (a complete frame: length prefix + payload),
 /// looping over partial writes and EINTR.

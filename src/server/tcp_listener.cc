@@ -2,14 +2,12 @@
 
 #include <cstring>
 
-#ifndef _WIN32
 #include <errno.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace opthash::server {
 
@@ -43,8 +41,6 @@ bool LooksLikeHostPort(const std::string& target) {
   if (target.find('/') != std::string::npos) return false;
   return ParseHostPort(target).ok();
 }
-
-#ifndef _WIN32
 
 namespace {
 
@@ -155,21 +151,5 @@ void SetTcpNoDelay(int fd) {
   const int enable = 1;
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
 }
-
-#else  // _WIN32
-
-namespace {
-Status Unsupported() {
-  return Status::FailedPrecondition(
-      "opthash TCP serving requires POSIX sockets, unavailable in this "
-      "build");
-}
-}  // namespace
-
-Result<ListeningTcp> ListenTcp(const HostPort&, int) { return Unsupported(); }
-Result<int> ConnectTcp(const HostPort&) { return Unsupported(); }
-void SetTcpNoDelay(int) {}
-
-#endif  // _WIN32
 
 }  // namespace opthash::server

@@ -12,8 +12,7 @@ namespace opthash::server {
 /// (server/protocol.h) is byte-stream agnostic, so TCP and Unix-domain
 /// sessions speak the identical wire format; this header only contributes
 /// listening/connecting and the `host:port` address syntax shared by
-/// `opthash_serve --listen` and the client tools. Like socket_io.h, every
-/// entry point on _WIN32 builds fails with a clean FailedPrecondition.
+/// `opthash_serve --listen` and the client tools.
 
 /// A parsed `host:port` listen/connect target.
 struct HostPort {

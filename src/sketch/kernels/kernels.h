@@ -8,7 +8,7 @@
 
 /// \file
 /// \brief The sketch kernel layer: batch primitives behind the sketches'
-/// `UpdateBatch`/`EstimateBatch` hot loops, with scalar / AVX2 / NEON
+/// `UpdateBatch`/`EstimateBatch` hot loops, with scalar and AVX2
 /// implementations selected at runtime (sketch/kernels/simd_dispatch.h).
 ///
 /// Contract (the differential suite in tests/kernel_differential_test.cc
@@ -169,9 +169,6 @@ const KernelOps& ScalarKernels();
 /// no translation unit needs special flags and calling this probe is
 /// always safe.
 const KernelOps* Avx2KernelsOrNull();
-
-/// The NEON tier, or nullptr off AArch64.
-const KernelOps* NeonKernelsOrNull();
 
 }  // namespace opthash::sketch::kernels
 

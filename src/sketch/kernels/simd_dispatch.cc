@@ -15,8 +15,6 @@ const KernelOps* OpsForTier(KernelTier tier) {
       return &ScalarKernels();
     case KernelTier::kAvx2:
       return Avx2KernelsOrNull();
-    case KernelTier::kNeon:
-      return NeonKernelsOrNull();
   }
   return nullptr;
 }
@@ -63,12 +61,10 @@ struct DispatchState {
       parsed = KernelTier::kScalar;
     } else if (name == "avx2") {
       parsed = KernelTier::kAvx2;
-    } else if (name == "neon") {
-      parsed = KernelTier::kNeon;
     } else {
       return Status::InvalidArgument(
           "unknown SIMD tier '" + std::string(name) +
-          "' (valid: scalar, avx2, neon)");
+          "' (valid: scalar, avx2)");
     }
     if (!KernelTierAvailable(parsed)) {
       return Status::InvalidArgument(
@@ -94,8 +90,6 @@ std::string_view KernelTierName(KernelTier tier) {
       return "scalar";
     case KernelTier::kAvx2:
       return "avx2";
-    case KernelTier::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -106,8 +100,7 @@ bool KernelTierAvailable(KernelTier tier) {
 
 std::vector<KernelTier> AvailableKernelTiers() {
   std::vector<KernelTier> tiers;
-  for (KernelTier tier :
-       {KernelTier::kAvx2, KernelTier::kNeon, KernelTier::kScalar}) {
+  for (KernelTier tier : {KernelTier::kAvx2, KernelTier::kScalar}) {
     if (KernelTierAvailable(tier)) tiers.push_back(tier);
   }
   return tiers;
@@ -115,7 +108,6 @@ std::vector<KernelTier> AvailableKernelTiers() {
 
 KernelTier BestAvailableKernelTier() {
   if (KernelTierAvailable(KernelTier::kAvx2)) return KernelTier::kAvx2;
-  if (KernelTierAvailable(KernelTier::kNeon)) return KernelTier::kNeon;
   return KernelTier::kScalar;
 }
 

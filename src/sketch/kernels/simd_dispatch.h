@@ -12,8 +12,8 @@
 /// \brief Runtime selection of the sketch kernel tier.
 ///
 /// On first use the dispatcher picks the best tier the running CPU
-/// supports (AVX2 on capable x86-64, NEON on AArch64, scalar otherwise)
-/// and honors an `OPTHASH_SIMD=scalar|avx2|neon` environment override.
+/// supports (AVX2 on capable x86-64, scalar otherwise) and honors an
+/// `OPTHASH_SIMD=scalar|avx2` environment override.
 /// Tools expose the same override as a `--simd` flag via
 /// ForceKernelTierByName. The selection is process-global and
 /// atomically swappable, so tests and benchmarks can pin a tier, run,
@@ -24,11 +24,9 @@ namespace opthash::sketch::kernels {
 enum class KernelTier {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
 
-/// Lowercase tier name as accepted by OPTHASH_SIMD ("scalar", "avx2",
-/// "neon").
+/// Lowercase tier name as accepted by OPTHASH_SIMD ("scalar", "avx2").
 std::string_view KernelTierName(KernelTier tier);
 
 /// Whether `tier` can run on this build and CPU.

@@ -18,13 +18,9 @@
 #include "server/protocol.h"
 #include "server/socket_io.h"
 
-#ifndef _WIN32
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
-#endif
-
-#ifndef _WIN32
 
 namespace opthash::server {
 namespace {
@@ -322,5 +318,3 @@ TEST(EventLoopTest, ConfigValidationRejectsUnservableCaps) {
 
 }  // namespace
 }  // namespace opthash::server
-
-#endif  // !_WIN32

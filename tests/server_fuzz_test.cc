@@ -21,13 +21,9 @@
 #include "server/socket_io.h"
 #include "server/tcp_listener.h"
 
-#ifndef _WIN32
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
-#endif
-
-#ifndef _WIN32
 
 namespace opthash::server {
 namespace {
@@ -62,10 +58,9 @@ void SetRecvTimeout(int fd, int millis) {
 }
 
 /// Walks the byte stream exactly like the server's frame parser and
-/// reports whether any complete frame in it is a valid kShutdown — bare
-/// or wrapped in a scoped envelope the server would unwrap and obey —
-/// the one mutation outcome the fuzzer must not deliver, or it would
-/// stop the daemon mid-run by *succeeding*.
+/// reports whether any complete frame in it is a valid kShutdown — the
+/// one mutation outcome the fuzzer must not deliver, or it would stop the
+/// daemon mid-run by *succeeding*.
 bool ContainsValidShutdown(const std::vector<uint8_t>& bytes) {
   size_t head = 0;
   while (bytes.size() - head >= kFrameHeaderSize) {
@@ -78,26 +73,17 @@ bool ContainsValidShutdown(const std::vector<uint8_t>& bytes) {
         payload[0] == static_cast<uint8_t>(MessageType::kShutdown)) {
       return true;
     }
-    // Scoped envelope (u8 type, u8 version, u32 model id) around a bare
-    // shutdown: a bit flip on an inner type byte can produce one.
-    // Conservatively skip whatever the model id says — NotFound replies
-    // are cheap to forgo, an obeyed shutdown ends the run.
-    if (length == 7 &&
-        payload[0] == static_cast<uint8_t>(MessageType::kScopedRequest) &&
-        payload[6] == static_cast<uint8_t>(MessageType::kShutdown)) {
-      return true;
-    }
     head += kFrameHeaderSize + length;
   }
   return false;
 }
 
 /// A valid request frame to mutate (never kShutdown as the base),
-/// covering every request type: top-k, metrics, scoped-request
-/// envelopes and the windowed-counting window-stats verb.
+/// covering every request type: top-k, metrics and the windowed-counting
+/// window-stats verb.
 std::vector<uint8_t> ValidBaseFrame(Rng& rng) {
   std::vector<uint8_t> frame;
-  switch (rng.NextBounded(9)) {
+  switch (rng.NextBounded(8)) {
     case 0:
       EncodeEmptyMessage(MessageType::kPing, frame);
       break;
@@ -114,32 +100,7 @@ std::vector<uint8_t> ValidBaseFrame(Rng& rng) {
     case 4:
       EncodeEmptyMessage(MessageType::kMetrics, frame);
       break;
-    case 5: {  // Scoped envelope around a harmless inner request —
-               // including window-stats, so mutations hit window
-               // metadata riding inside envelopes.
-      std::vector<uint8_t> inner;
-      switch (rng.NextBounded(3)) {
-        case 0:
-          EncodeEmptyMessage(MessageType::kPing, inner);
-          break;
-        case 1:
-          EncodeEmptyMessage(MessageType::kWindowStats, inner);
-          break;
-        default:
-          EncodeTopKRequest(1 + static_cast<uint32_t>(rng.NextBounded(16)),
-                            inner);
-          break;
-      }
-      RequestHeader header;
-      header.model_id = static_cast<uint32_t>(rng.NextBounded(3));
-      EncodeScopedRequest(
-          header,
-          Span<const uint8_t>(inner.data() + kFrameHeaderSize,
-                              inner.size() - kFrameHeaderSize),
-          frame);
-      break;
-    }
-    case 6:
+    case 5:
       EncodeEmptyMessage(MessageType::kWindowStats, frame);
       break;
     default: {
@@ -342,5 +303,3 @@ TEST(ServerFuzzTest, ChunkedWellFormedFramesAnswerNormally) {
 
 }  // namespace
 }  // namespace opthash::server
-
-#endif  // !_WIN32

@@ -133,8 +133,12 @@ TEST(ServerProtocolTest, EmptyPayloadRejected) {
 }
 
 TEST(ServerProtocolTest, GarbageTypeByteRejected) {
-  const uint8_t garbage[] = {73, 0, 0};
-  EXPECT_FALSE(PeekMessageType(Span<const uint8_t>(garbage, 3)).ok());
+  // 9 is the retired scoped-request envelope: unknown, like any garbage.
+  for (const uint8_t type : {uint8_t{73}, uint8_t{9}}) {
+    const uint8_t garbage[] = {type, 0, 0};
+    EXPECT_FALSE(PeekMessageType(Span<const uint8_t>(garbage, 3)).ok())
+        << "type byte " << int{type};
+  }
 }
 
 TEST(ServerProtocolTest, TruncatedKeyRequestRejected) {
@@ -275,68 +279,10 @@ TEST(ServerProtocolTest, MetricsFramesRoundTrip) {
   ASSERT_TRUE(DecodeMetricsReply(PayloadOf(frame), decoded).ok());
 }
 
-TEST(ServerProtocolTest, ScopedRequestRoundTripsHeaderAndInnerPayload) {
-  std::vector<uint8_t> inner_frame;
-  EncodeTopKRequest(9, inner_frame);
-  RequestHeader header;
-  header.model_id = 31337;
-  std::vector<uint8_t> frame;
-  EncodeScopedRequest(header, PayloadOf(inner_frame), frame);
-
-  RequestHeader decoded;
-  Span<const uint8_t> inner(nullptr, 0);
-  ASSERT_TRUE(DecodeScopedRequest(PayloadOf(frame), decoded, inner).ok());
-  EXPECT_EQ(decoded.version, kRequestHeaderVersion);
-  EXPECT_EQ(decoded.model_id, 31337u);
-  auto type = PeekMessageType(inner);
-  ASSERT_TRUE(type.ok());
-  EXPECT_EQ(type.value(), MessageType::kTopK);
-  auto k = DecodeTopKRequest(inner);
-  ASSERT_TRUE(k.ok());
-  EXPECT_EQ(k.value(), 9u);
-}
-
-TEST(ServerProtocolTest, ScopedRequestHostilePayloadsRejected) {
-  std::vector<uint8_t> inner_frame;
-  EncodeEmptyMessage(MessageType::kPing, inner_frame);
-  RequestHeader header;
-  header.model_id = 1;
-  std::vector<uint8_t> frame;
-  EncodeScopedRequest(header, PayloadOf(inner_frame), frame);
-
-  RequestHeader decoded;
-  Span<const uint8_t> inner(nullptr, 0);
-  // Truncations: header alone (no inner payload) must fail too.
-  for (size_t keep = 0; keep + kFrameHeaderSize < frame.size(); ++keep) {
-    EXPECT_FALSE(
-        DecodeScopedRequest(
-            Span<const uint8_t>(frame.data() + kFrameHeaderSize, keep),
-            decoded, inner)
-            .ok())
-        << "prefix of " << keep << " bytes decoded";
-  }
-  // Unknown header versions are rejected (forward-compat gate).
-  std::vector<uint8_t> bad_version(PayloadOf(frame).begin(),
-                                   PayloadOf(frame).end());
-  bad_version[1] = kRequestHeaderVersion + 1;
-  EXPECT_FALSE(
-      DecodeScopedRequest(
-          Span<const uint8_t>(bad_version.data(), bad_version.size()),
-          decoded, inner)
-          .ok());
-  // Envelopes cannot nest: a scoped request inside a scoped request is a
-  // protocol violation, not a recursion.
-  std::vector<uint8_t> once;
-  EncodeScopedRequest(header, PayloadOf(inner_frame), once);
-  std::vector<uint8_t> twice;
-  EncodeScopedRequest(header, PayloadOf(once), twice);
-  EXPECT_FALSE(DecodeScopedRequest(PayloadOf(twice), decoded, inner).ok());
-}
-
 TEST(ServerProtocolTest, UnscopedWireBytesUnchangedByEnvelopeIntroduction) {
-  // Golden frames: a client with the default model id must emit exactly
-  // the pre-envelope bytes, or old daemons break. These are the wire
-  // images from before kScopedRequest existed.
+  // Golden frames: the bare request wire images from before the
+  // (now retired) type-9 envelope existed. Clients must keep emitting
+  // exactly these bytes, or deployed daemons break.
   std::vector<uint8_t> frame;
   EncodeEmptyMessage(MessageType::kPing, frame);
   EXPECT_EQ(frame, (std::vector<uint8_t>{1, 0, 0, 0, 4}));
@@ -352,12 +298,6 @@ TEST(ServerProtocolTest, UnscopedWireBytesUnchangedByEnvelopeIntroduction) {
   EXPECT_EQ(frame, (std::vector<uint8_t>{5, 0, 0, 0, 7, 5, 0, 0, 0}));
   EncodeEmptyMessage(MessageType::kMetrics, frame);
   EXPECT_EQ(frame, (std::vector<uint8_t>{1, 0, 0, 0, 8}));
-  RequestHeader header;
-  header.model_id = 6;
-  std::vector<uint8_t> ping;
-  EncodeEmptyMessage(MessageType::kPing, ping);
-  EncodeScopedRequest(header, PayloadOf(ping), frame);
-  EXPECT_EQ(frame, (std::vector<uint8_t>{7, 0, 0, 0, 9, 1, 6, 0, 0, 0, 4}));
 }
 
 TEST(ServerProtocolTest, WindowStatsFramesGoldenBytesRoundTrip) {

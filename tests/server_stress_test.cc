@@ -22,14 +22,10 @@
 #include "server/socket_io.h"
 #include "server/tcp_listener.h"
 
-#ifndef _WIN32
 #include <dirent.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
-#endif
-
-#ifndef _WIN32
 
 namespace opthash::server {
 namespace {
@@ -342,5 +338,3 @@ TEST(ServerStressTest, ConnectionLimitRejectsCleanlyAndRecovers) {
 
 }  // namespace
 }  // namespace opthash::server
-
-#endif  // !_WIN32

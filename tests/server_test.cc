@@ -26,9 +26,7 @@
 #include "sketch/space_saving.h"
 #include "sketch/top_k.h"
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 namespace opthash::server {
 namespace {
@@ -496,25 +494,30 @@ TEST(ServerTest, MalformedFramesGetErrorAndSessionCloses) {
   RunningServer running(FreshCms());
   ASSERT_TRUE(running.Start().ok());
 
-  // Raw socket: send a garbage type byte in a well-formed frame.
-  auto fd = ConnectUnix(running.socket());
-  ASSERT_TRUE(fd.ok());
-  const uint8_t garbage_frame[] = {1, 0, 0, 0, 73};
-  ASSERT_TRUE(WriteAll(fd.value(),
-                       Span<const uint8_t>(garbage_frame, 5))
-                  .ok());
+  // Raw sockets: a garbage type byte in a well-formed frame, and type 9,
+  // the retired scoped-request envelope (the exact frame an old client
+  // sent for an id-0 ping). Both are unknown types.
+  const std::vector<std::vector<uint8_t>> unknown_type_frames = {
+      {1, 0, 0, 0, 73}, {7, 0, 0, 0, 9, 1, 0, 0, 0, 0, 4}};
   std::vector<uint8_t> payload;
-  ASSERT_TRUE(ReadFramePayload(fd.value(), payload).ok());
   Status remote;
-  ASSERT_TRUE(
-      DecodeErrorResponse(Span<const uint8_t>(payload.data(), payload.size()),
-                          remote)
-          .ok());
-  EXPECT_EQ(remote.code(), StatusCode::kInvalidArgument);
-  // The server hangs up after a protocol error.
-  EXPECT_EQ(ReadFramePayload(fd.value(), payload).code(),
-            StatusCode::kNotFound);
-  CloseSocket(fd.value());
+  for (const std::vector<uint8_t>& frame : unknown_type_frames) {
+    auto fd = ConnectUnix(running.socket());
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(
+        WriteAll(fd.value(), Span<const uint8_t>(frame.data(), frame.size()))
+            .ok());
+    ASSERT_TRUE(ReadFramePayload(fd.value(), payload).ok());
+    ASSERT_TRUE(DecodeErrorResponse(
+                    Span<const uint8_t>(payload.data(), payload.size()), remote)
+                    .ok());
+    EXPECT_EQ(remote.code(), StatusCode::kInvalidArgument)
+        << "type byte " << int{frame[4]};
+    // The server hangs up after a protocol error.
+    EXPECT_EQ(ReadFramePayload(fd.value(), payload).code(),
+              StatusCode::kNotFound);
+    CloseSocket(fd.value());
+  }
 
   // An oversized length prefix is rejected without ballooning memory.
   auto fd2 = ConnectUnix(running.socket());
@@ -544,7 +547,7 @@ TEST(ServerTest, MalformedFramesGetErrorAndSessionCloses) {
   EXPECT_EQ(remote.code(), StatusCode::kInvalidArgument);
   CloseSocket(fd3.value());
 
-  // The daemon survived all three hostile sessions.
+  // The daemon survived all four hostile sessions.
   Client client = running.MustConnect();
   EXPECT_TRUE(client.Ping().ok());
 }
@@ -719,34 +722,6 @@ TEST(ServerTest, TopKErrorListsWindowedHeavyHitterKinds) {
   ASSERT_TRUE(ring.ok()) << ring.status().ToString();
   EXPECT_TRUE(ring.value()->SupportsTopK());
   EXPECT_STREQ(ring.value()->Kind(), "windowed-misra-gries");
-}
-
-TEST(ServerTest, ScopedRequestsServeDefaultIdAndRejectOthers) {
-  RunningServer running(FreshSpaceSaving());
-  ASSERT_TRUE(running.Start().ok());
-  Client client = running.MustConnect();
-  const std::vector<uint64_t> keys = {7, 7, 7, 9};
-  ASSERT_TRUE(client.Ingest(keys).ok());
-
-  // A non-default model id is NotFound until the registry lands...
-  client.set_model_id(31337);
-  std::vector<sketch::HeavyHitter> hitters;
-  Status status = client.TopK(2, hitters);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kNotFound);
-  EXPECT_NE(status.message().find("31337"), std::string::npos);
-  status = client.Ping();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kNotFound);
-
-  // ...and the rejection leaves the session usable: back on the default
-  // id, the same connection answers (enveloped or bare).
-  client.set_model_id(0);
-  ASSERT_TRUE(client.Ping().ok());
-  ASSERT_TRUE(client.TopK(2, hitters).ok());
-  ASSERT_EQ(hitters.size(), 2u);
-  EXPECT_EQ(hitters[0].id, 7u);
-  EXPECT_EQ(hitters[0].estimate, 3.0);
 }
 
 TEST(ServerTest, MetricsRendersPrometheusTextExposition) {

@@ -23,7 +23,6 @@ struct TierGuard {
 TEST(SimdDispatchTest, TierNamesAreTheOverrideVocabulary) {
   EXPECT_EQ(KernelTierName(KernelTier::kScalar), "scalar");
   EXPECT_EQ(KernelTierName(KernelTier::kAvx2), "avx2");
-  EXPECT_EQ(KernelTierName(KernelTier::kNeon), "neon");
 }
 
 TEST(SimdDispatchTest, ScalarIsAlwaysAvailableAndListedLast) {
@@ -67,8 +66,7 @@ TEST(SimdDispatchTest, UnknownTierNameFailsReadably) {
 
 TEST(SimdDispatchTest, UnavailableTierFailsWithAvailableList) {
   TierGuard guard;
-  for (const KernelTier tier :
-       {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kNeon}) {
+  for (const KernelTier tier : {KernelTier::kScalar, KernelTier::kAvx2}) {
     if (KernelTierAvailable(tier)) continue;
     const KernelTier before = ActiveKernelTier();
     const Status status = ForceKernelTier(tier);

@@ -25,9 +25,7 @@
 #include "sketch/misra_gries.h"
 #include "sketch/windowed_sketch.h"
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 namespace opthash::server {
 namespace {
@@ -391,19 +389,6 @@ TEST(WindowedServeTest, MetricsExportFullLatencyHistogram) {
             std::string::npos);
   EXPECT_NE(text.find("opthash_window_stats_requests_total 1"),
             std::string::npos);
-}
-
-TEST(WindowedServeTest, ScopedWindowStatsToUnknownModelIdIsNotFound) {
-  RunningServer running(MustCreate(WindowedCmsSpec(2, 100)));
-  ASSERT_TRUE(running.Start().ok());
-  Client client = running.MustConnect();
-  client.set_model_id(7);
-  auto stats = client.WindowStats();
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kNotFound);
-  // Back to the default model, the same session answers.
-  client.set_model_id(0);
-  EXPECT_TRUE(client.WindowStats().ok());
 }
 
 TEST(WindowedServeTest, WindowStatsReplyRoundTripsOnTheWire) {

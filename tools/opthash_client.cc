@@ -59,9 +59,6 @@ constexpr const char* kUsageText =
     "                  not transmitted — serving is key-only)\n"
     "  --batch B       keys per request frame (default 4096)\n"
     "  --k N           heavy hitters to request for topk (default 10)\n"
-    "  --model-id M    address requests to model id M via the scoped\n"
-    "                  request envelope (default 0 = the served model;\n"
-    "                  other ids are NotFound until the registry lands)\n"
     "\n"
     "wire protocol + error codes: docs/OPERATIONS.md\n";
 
@@ -82,7 +79,6 @@ struct Args {
   std::string trace;
   size_t batch = 4096;
   uint32_t k = 10;
-  uint32_t model_id = 0;
 };
 
 Result<Args> Parse(int argc, char** argv) {
@@ -129,16 +125,6 @@ Result<Args> Parse(int argc, char** argv) {
         return Status::InvalidArgument("--k must be a positive u32");
       }
       args.k = static_cast<uint32_t>(k);
-    } else if (arg == "--model-id") {
-      auto value = need_value("--model-id");
-      if (!value.ok()) return value.status();
-      char* end = nullptr;
-      const unsigned long long id =
-          std::strtoull(value.value().c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || id > UINT32_MAX) {
-        return Status::InvalidArgument("--model-id must be a u32");
-      }
-      args.model_id = static_cast<uint32_t>(id);
     } else if (arg.rfind("--", 0) == 0) {
       return Status::InvalidArgument("unknown flag: " + arg);
     } else if (args.verb.empty()) {
@@ -220,7 +206,6 @@ int Main(int argc, char** argv) {
 
   auto client = server::Client::Connect(args.target);
   if (!client.ok()) return Fail(client.status());
-  client.value().set_model_id(args.model_id);
 
   if (args.verb == "ping") {
     const Status status = client.value().Ping();

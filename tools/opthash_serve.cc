@@ -23,9 +23,7 @@
 #include "sketch/kernels/simd_dispatch.h"
 #include "tool_flags.h"
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 namespace opthash::cli {
 namespace {
@@ -37,7 +35,7 @@ constexpr const char* kUsageText =
     "           [--snapshot-every-items N] [--snapshot-every-seconds S]\n"
     "           [--threads N] [--block-size B]\n"
     "           [--max-connections N] [--idle-timeout S] [--event-threads N]\n"
-    "           [--simd scalar|avx2|neon]\n"
+    "           [--simd scalar|avx2]\n"
     "           [--width W] [--depth D] [--capacity K] [--buckets N]\n"
     "           [--seed S] [--conservative 1]\n"
     "\n"
@@ -85,7 +83,7 @@ constexpr const char* kUsageText =
     "                  (default 1)\n"
     "  --block-size B  trace items per worker dispatch block\n"
     "                  (default 65536)\n"
-    "  --simd TIER     pin the sketch kernel tier (scalar|avx2|neon)\n"
+    "  --simd TIER     pin the sketch kernel tier (scalar|avx2)\n"
     "                  instead of auto-detecting the best one; unknown or\n"
     "                  unavailable tiers fail at startup. Equivalent env\n"
     "                  var: OPTHASH_SIMD (the flag wins). The active tier\n"
@@ -294,9 +292,7 @@ int Main(int argc, char** argv) {
 
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
-#ifndef _WIN32
   std::signal(SIGPIPE, SIG_IGN);  // Peer resets must not kill the daemon.
-#endif
 
   // A signal handler cannot safely notify the server's condition
   // variable, so a tiny waker thread polls the flag and converts it into

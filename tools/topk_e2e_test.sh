@@ -9,8 +9,6 @@
 #  2. Unsupported kinds degrade, not crash: a count-min daemon answers
 #     topk with a kError frame naming the supported kinds, and the same
 #     daemon still answers ping/query/metrics afterwards.
-#  3. The model-id envelope is honoured: --model-id 0 behaves exactly
-#     like a bare client, a non-zero id is rejected NotFound.
 #
 # Usage: topk_e2e_test.sh CLI SERVE CLIENT WORKDIR [unix|tcp]
 set -eu
@@ -78,13 +76,6 @@ SERVE_PID=$!
 resolve_target "$WORK/serve_ss.log"
 wait_ready
 "$CLIENT" $TARGET topk --k 8 > "$WORK/served.csv"
-# Model-id 0 must be byte-identical to a bare client (default id).
-"$CLIENT" $TARGET --model-id 0 topk --k 8 > "$WORK/served_id0.csv"
-# A non-zero model id is NotFound until the multi-bundle registry lands.
-if "$CLIENT" $TARGET --model-id 7 topk --k 8 > /dev/null 2>&1; then
-  echo "FAIL: model id 7 was answered; expected NotFound"
-  exit 1
-fi
 "$CLIENT" $TARGET shutdown > /dev/null
 wait "$SERVE_PID"
 
@@ -94,10 +85,6 @@ grep -q "^id,estimate,error_bound,guaranteed$" "$WORK/offline.csv" || {
 }
 diff "$WORK/offline.csv" "$WORK/served.csv" || {
   echo "FAIL: served top-k differs from offline topk verb"
-  exit 1
-}
-diff "$WORK/served.csv" "$WORK/served_id0.csv" || {
-  echo "FAIL: --model-id 0 answers differ from bare-client answers"
   exit 1
 }
 echo "ok: served top-k byte-identical to offline topk"
