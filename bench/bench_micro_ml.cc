@@ -66,8 +66,9 @@ BENCHMARK(BM_RandomForestFit)->Arg(500)->Arg(2000);
 // The shape of a bundle's h_U training set (§5.2 on a query log): one row
 // per stored id, bag-of-words counts over a 500-word vocabulary with a
 // handful of mostly head words per row, and the learned buckets as labels.
-// Inside a node most columns are constant and the rest hold a few small
-// counts, so split search is dominated by ties, unlike the blobs above.
+// Inside a node most columns are all zero and the rest hold a few small
+// counts, so split search visits few nonzeros per column, unlike the
+// dense blobs above.
 Dataset MakeBagOfWords(size_t n, size_t classes, size_t vocabulary,
                        uint64_t seed) {
   Rng rng(seed);

@@ -36,7 +36,7 @@ class Dataset {
   int Label(size_t index) const { return labels_[index]; }
   const std::vector<int>& labels() const { return labels_; }
 
-  /// Rows selected by index (with repetition allowed — used for bagging).
+  /// Rows selected by index, with repetition allowed.
   Dataset Subset(const std::vector<size_t>& indices) const;
 
   /// Per-class example counts (length NumClasses()).

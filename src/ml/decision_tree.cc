@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iomanip>
 #include <numeric>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/random.h"
 
 namespace opthash::ml {
 
@@ -28,31 +30,120 @@ int MajorityLabel(const std::vector<size_t>& counts) {
       std::max_element(counts.begin(), counts.end()) - counts.begin());
 }
 
+// One nonzero of a candidate column in the node, or (label kZeroGroup)
+// all of the node's zeros in that column at once.
+struct SplitEntry {
+  double value;
+  int32_t label;
+  uint32_t weight;
+};
+
+constexpr int32_t kZeroGroup = -1;
+
 }  // namespace
+
+FeatureColumns::FeatureColumns(const Dataset& data)
+    : num_rows_(data.NumExamples()), starts_(data.NumFeatures() + 1, 0) {
+  OPTHASH_CHECK_LE(num_rows_, size_t{UINT32_MAX});
+  // One pass over the dense rows collects the nonzeros in row order; a
+  // stable counting sort by column then lays them out column by column.
+  struct Nonzero {
+    uint32_t row;
+    uint32_t column;
+    double value;
+  };
+  std::vector<Nonzero> nonzeros;
+  const size_t num_columns = data.NumFeatures();
+  for (size_t row = 0; row < num_rows_; ++row) {
+    const double* x = data.Features(row).data();
+    for (size_t column = 0; column < num_columns; ++column) {
+      if (x[column] == 0.0) continue;
+      nonzeros.push_back({static_cast<uint32_t>(row),
+                          static_cast<uint32_t>(column), x[column]});
+      ++starts_[column + 1];
+    }
+  }
+  for (size_t column = 0; column < num_columns; ++column) {
+    starts_[column + 1] += starts_[column];
+  }
+  rows_.resize(nonzeros.size());
+  values_.resize(nonzeros.size());
+  std::vector<size_t> next(starts_.begin(), starts_.end() - 1);
+  for (const Nonzero& nonzero : nonzeros) {
+    const size_t at = next[nonzero.column]++;
+    rows_[at] = nonzero.row;
+    values_[at] = nonzero.value;
+  }
+}
+
+struct DecisionTree::FitState {
+  FitState(const Dataset& train_in, const FeatureColumns& columns_in,
+           const std::vector<uint32_t>& multiplicity_in, uint64_t seed)
+      : train(train_in),
+        columns(columns_in),
+        multiplicity(multiplicity_in),
+        rng(seed),
+        node_of_row(train_in.NumExamples(), 0),
+        features(train_in.NumFeatures()),
+        entries(train_in.NumExamples() + 1) {}
+
+  const Dataset& train;
+  const FeatureColumns& columns;
+  const std::vector<uint32_t>& multiplicity;
+  Rng rng;
+  // node_of_row[row] is 1 + the id of the node whose split is being
+  // searched when the row is in it: the membership test for a column's
+  // nonzeros. Rows outside the sample never get a mark.
+  std::vector<uint32_t> node_of_row;
+  std::vector<size_t> features;
+  // One candidate column's entries: at most one per row, and the zeros.
+  std::vector<SplitEntry> entries;
+};
 
 DecisionTree::DecisionTree(DecisionTreeConfig config) : config_(config) {
   OPTHASH_CHECK_GE(config_.min_samples_leaf, 1u);
 }
 
 void DecisionTree::Fit(const Dataset& train) {
-  OPTHASH_CHECK_GT(train.NumExamples(), 0u);
+  const FeatureColumns columns(train);
+  FitSample(train, columns, std::vector<uint32_t>(train.NumExamples(), 1));
+}
+
+void DecisionTree::FitSample(const Dataset& train,
+                             const FeatureColumns& columns,
+                             const std::vector<uint32_t>& multiplicity) {
+  OPTHASH_CHECK_EQ(multiplicity.size(), train.NumExamples());
+  OPTHASH_CHECK_EQ(columns.NumRows(), train.NumExamples());
+  OPTHASH_CHECK_EQ(columns.NumColumns(), train.NumFeatures());
+  std::vector<uint32_t> rows;
+  uint64_t sample_size = 0;
+  int max_label = -1;
+  for (size_t row = 0; row < multiplicity.size(); ++row) {
+    if (multiplicity[row] == 0) continue;
+    rows.push_back(static_cast<uint32_t>(row));
+    sample_size += multiplicity[row];
+    max_label = std::max(max_label, train.Label(row));
+  }
+  OPTHASH_CHECK(!rows.empty());
+  // Split entries carry a row's weight, and the zero group's, in 32 bits.
+  OPTHASH_CHECK_LE(sample_size, uint64_t{UINT32_MAX});
   num_features_ = train.NumFeatures();
-  num_classes_ = std::max<size_t>(train.NumClasses(), 1);
+  num_classes_ = static_cast<size_t>(max_label + 1);
   nodes_.clear();
-  std::vector<size_t> indices(train.NumExamples());
-  std::iota(indices.begin(), indices.end(), size_t{0});
-  Rng rng(config_.seed);
-  BuildNode(train, indices, /*depth=*/0, rng);
+  FitState state(train, columns, multiplicity, config_.seed);
+  BuildNode(state, rows, /*depth=*/0);
   fitted_ = true;
 }
 
-int32_t DecisionTree::BuildNode(const Dataset& train,
-                                std::vector<size_t>& indices, size_t depth,
-                                Rng& rng) {
-  const size_t n = indices.size();
+int32_t DecisionTree::BuildNode(FitState& state, std::vector<uint32_t>& rows,
+                                size_t depth) {
+  const Dataset& train = state.train;
+  const std::vector<uint32_t>& multiplicity = state.multiplicity;
+  size_t n = 0;
   std::vector<size_t> counts(num_classes_, 0);
-  for (size_t index : indices) {
-    ++counts[static_cast<size_t>(train.Label(index))];
+  for (uint32_t row : rows) {
+    counts[static_cast<size_t>(train.Label(row))] += multiplicity[row];
+    n += multiplicity[row];
   }
   const double node_gini = Gini(counts, n);
 
@@ -67,52 +158,90 @@ int32_t DecisionTree::BuildNode(const Dataset& train,
   }
 
   // Candidate features: all, or a uniform sample of max_features for forests.
-  std::vector<size_t> candidate_features;
-  if (config_.max_features == 0 || config_.max_features >= num_features_) {
-    candidate_features.resize(num_features_);
-    std::iota(candidate_features.begin(), candidate_features.end(), size_t{0});
-  } else {
-    std::vector<size_t> all(num_features_);
-    std::iota(all.begin(), all.end(), size_t{0});
-    rng.Shuffle(all);
-    candidate_features.assign(
-        all.begin(), all.begin() + static_cast<long>(config_.max_features));
+  std::vector<size_t>& features = state.features;
+  std::iota(features.begin(), features.end(), size_t{0});
+  size_t num_candidates = num_features_;
+  if (config_.max_features != 0 && config_.max_features < num_features_) {
+    state.rng.Shuffle(features);
+    num_candidates = config_.max_features;
   }
 
-  // Exhaustive threshold scan per candidate feature.
+  const auto mark = static_cast<uint32_t>(node_id) + 1;
+  for (uint32_t row : rows) state.node_of_row[row] = mark;
+
+  // Threshold scan per candidate feature over its values in the node in
+  // ascending order: the negatives, the zeros as one group, the positives.
   double best_decrease = config_.min_impurity_decrease;
   size_t best_feature = 0;
   double best_threshold = 0.0;
   bool found = false;
 
-  std::vector<std::pair<double, int>> values(n);  // (feature value, label)
+  SplitEntry* const entries = state.entries.data();
   std::vector<size_t> left_counts(num_classes_);
   std::vector<size_t> right_counts(num_classes_);
-  for (size_t feature : candidate_features) {
-    const double first = train.Features(indices[0])[feature];
+  std::vector<size_t> nonzero_counts(num_classes_, 0);
+  for (size_t k = 0; k < num_candidates; ++k) {
+    const size_t feature = features[k];
+    // The node's nonzeros of the column: from the column when it holds
+    // fewer entries than the node has rows, else from the rows.
+    size_t num_entries = 0;
+    size_t nonzero_total = 0;
     bool constant = true;
-    for (size_t i = 0; i < n; ++i) {
-      const double value = train.Features(indices[i])[feature];
-      constant = constant && value == first;
-      values[i] = {value, train.Label(indices[i])};
+    const auto add = [&](uint32_t row, double value) {
+      entries[num_entries] = {value, train.Label(row), multiplicity[row]};
+      nonzero_total += multiplicity[row];
+      constant = constant && value == entries[0].value;
+      ++num_entries;
+    };
+    const Span<const uint32_t> column_rows = state.columns.Rows(feature);
+    if (column_rows.size() <= rows.size()) {
+      const double* value = state.columns.Values(feature).data();
+      for (uint32_t row : column_rows) {
+        if (state.node_of_row[row] == mark) add(row, *value);
+        ++value;
+      }
+    } else {
+      for (uint32_t row : rows) {
+        const double value = train.Features(row)[feature];
+        if (value != 0.0) add(row, value);
+      }
     }
-    // A constant column has no boundary to score.
-    if (constant) continue;
+    if (num_entries == 0) continue;
+    const size_t zero_total = n - nonzero_total;
+    // A column of one value in the node has no boundary to score.
+    if (constant && zero_total == 0) continue;
+    // The zero group's histogram is the node's minus the nonzeros'.
+    if (zero_total > 0) {
+      for (size_t i = 0; i < num_entries; ++i) {
+        nonzero_counts[static_cast<size_t>(entries[i].label)] +=
+            entries[i].weight;
+      }
+      entries[num_entries++] = {0.0, kZeroGroup,
+                                static_cast<uint32_t>(zero_total)};
+    }
     // Only boundaries between distinct values are scored, and there the
     // left histogram holds every row at or below the value, so the order
-    // of rows sharing a value is irrelevant: sort by value alone.
-    std::sort(values.begin(), values.end(),
-              [](const std::pair<double, int>& a,
-                 const std::pair<double, int>& b) {
-                return a.first < b.first;
+    // of rows sharing a value is irrelevant: sort by value alone. A
+    // boundary next to the zero group has the same threshold whether its
+    // zeros were 0.0 or -0.0.
+    std::sort(entries, entries + num_entries,
+              [](const SplitEntry& a, const SplitEntry& b) {
+                return a.value < b.value;
               });
 
     std::fill(left_counts.begin(), left_counts.end(), 0);
     size_t left_total = 0;
-    for (size_t i = 0; i + 1 < n; ++i) {
-      ++left_counts[static_cast<size_t>(values[i].second)];
-      ++left_total;
-      if (values[i].first == values[i + 1].first) continue;
+    for (size_t i = 0; i + 1 < num_entries; ++i) {
+      const SplitEntry& entry = entries[i];
+      if (entry.label == kZeroGroup) {
+        for (size_t c = 0; c < num_classes_; ++c) {
+          left_counts[c] += counts[c] - nonzero_counts[c];
+        }
+      } else {
+        left_counts[static_cast<size_t>(entry.label)] += entry.weight;
+      }
+      left_total += entry.weight;
+      if (entry.value == entries[i + 1].value) continue;
       const size_t right_total = n - left_total;
       if (left_total < config_.min_samples_leaf ||
           right_total < config_.min_samples_leaf) {
@@ -129,31 +258,38 @@ int32_t DecisionTree::BuildNode(const Dataset& train,
       if (decrease > best_decrease) {
         best_decrease = decrease;
         best_feature = feature;
-        best_threshold = 0.5 * (values[i].first + values[i + 1].first);
+        best_threshold = 0.5 * (entry.value + entries[i + 1].value);
         found = true;
+      }
+    }
+    if (zero_total > 0) {
+      for (size_t i = 0; i < num_entries; ++i) {
+        if (entries[i].label != kZeroGroup) {
+          nonzero_counts[static_cast<size_t>(entries[i].label)] = 0;
+        }
       }
     }
   }
 
   if (!found) return node_id;
 
-  std::vector<size_t> left_indices;
-  std::vector<size_t> right_indices;
-  left_indices.reserve(n);
-  right_indices.reserve(n);
-  for (size_t index : indices) {
-    if (train.Features(index)[best_feature] <= best_threshold) {
-      left_indices.push_back(index);
+  std::vector<uint32_t> left_rows;
+  std::vector<uint32_t> right_rows;
+  left_rows.reserve(rows.size());
+  right_rows.reserve(rows.size());
+  for (uint32_t row : rows) {
+    if (train.Features(row)[best_feature] <= best_threshold) {
+      left_rows.push_back(row);
     } else {
-      right_indices.push_back(index);
+      right_rows.push_back(row);
     }
   }
-  OPTHASH_CHECK(!left_indices.empty() && !right_indices.empty());
-  indices.clear();
-  indices.shrink_to_fit();
+  OPTHASH_CHECK(!left_rows.empty() && !right_rows.empty());
+  rows.clear();
+  rows.shrink_to_fit();
 
-  const int32_t left_id = BuildNode(train, left_indices, depth + 1, rng);
-  const int32_t right_id = BuildNode(train, right_indices, depth + 1, rng);
+  const int32_t left_id = BuildNode(state, left_rows, depth + 1);
+  const int32_t right_id = BuildNode(state, right_rows, depth + 1);
 
   Node& node = nodes_[node_id];
   node.is_leaf = false;

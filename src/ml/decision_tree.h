@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "common/random.h"
+#include "common/span.h"
 #include "common/status.h"
 #include "io/bytes.h"
 #include "ml/dataset.h"
@@ -29,17 +29,61 @@ struct DecisionTreeConfig {
   uint64_t seed = 7;
 };
 
+/// \brief Column-major sparse (CSC) copy of a dataset's feature matrix:
+/// for each column, the rows whose value is not zero, ascending, with
+/// their values (-0.0 counts as zero). Split search reads a column's
+/// nonzeros from here; a forest builds one per fit and shares it across
+/// its trees.
+class FeatureColumns {
+ public:
+  explicit FeatureColumns(const Dataset& data);
+
+  size_t NumRows() const { return num_rows_; }
+  size_t NumColumns() const { return starts_.size() - 1; }
+
+  /// Rows holding a nonzero in `column`, and those nonzeros, in step.
+  Span<const uint32_t> Rows(size_t column) const {
+    return {rows_.data() + starts_[column],
+            starts_[column + 1] - starts_[column]};
+  }
+  Span<const double> Values(size_t column) const {
+    return {values_.data() + starts_[column],
+            starts_[column + 1] - starts_[column]};
+  }
+
+ private:
+  size_t num_rows_ = 0;
+  std::vector<size_t> starts_;  // NumColumns() + 1 offsets into the columns.
+  std::vector<uint32_t> rows_;
+  std::vector<double> values_;
+};
+
 /// \brief CART decision tree (Breiman et al. 1984, ref [43]) — the paper's
 /// `cart` classifier. Axis-aligned splits chosen by maximal gini impurity
-/// decrease, with exhaustive threshold scan over sorted feature values.
-/// Thresholds fall only between distinct values, so rows with equal
-/// feature values are never split apart and the fitted tree does not
-/// depend on the order of the training rows.
+/// decrease over every threshold between two distinct values of a
+/// candidate feature. The search at a node visits only the nonzeros of
+/// each candidate column that fall in the node, with their row
+/// multiplicities, and sorts only those: the zeros form one group between
+/// the negative and the positive values, and a column with no nonzeros in
+/// the node is constant there and skipped. Thresholds fall only between
+/// distinct values, so rows with equal feature values are never split
+/// apart and the fitted tree does not depend on the order of the training
+/// rows. Feature values must not be NaN.
 class DecisionTree : public Classifier {
  public:
   explicit DecisionTree(DecisionTreeConfig config = {});
 
   void Fit(const Dataset& train) override;
+
+  /// Fits on the sample that holds row i of `train` multiplicity[i] times
+  /// (a bootstrap sample), reading the features through `columns`, which
+  /// must be built from `train`. The tree is the one Fit returns on that
+  /// sample copied out with Dataset::Subset; Fit is this with every
+  /// multiplicity 1. The class count is one past the largest label the
+  /// sample holds.
+  void FitSample(const Dataset& train, const FeatureColumns& columns,
+                 const std::vector<uint32_t>& multiplicity);
+
   int Predict(const std::vector<double>& features) const override;
 
   /// Raw-pointer scalar prediction over num_features doubles: one root-to-
@@ -104,8 +148,11 @@ class DecisionTree : public Classifier {
     size_t num_samples = 0;
   };
 
-  int32_t BuildNode(const Dataset& train, std::vector<size_t>& indices,
-                    size_t depth, Rng& rng);
+  // The training sample and the split-search scratch of one fit.
+  struct FitState;
+
+  int32_t BuildNode(FitState& state, std::vector<uint32_t>& rows,
+                    size_t depth);
 
   DecisionTreeConfig config_;
   size_t num_features_ = 0;

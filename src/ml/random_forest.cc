@@ -25,13 +25,16 @@ void RandomForest::Fit(const Dataset& train) {
         1.0, std::floor(std::sqrt(static_cast<double>(num_features_)))));
   }
 
+  // One sparse column index serves every tree; a tree's bootstrap sample
+  // is how many times it drew each row.
+  const FeatureColumns columns(train);
   Rng rng(config_.seed);
   trees_.clear();
   trees_.reserve(config_.num_trees);
-  std::vector<size_t> bootstrap(n);
+  std::vector<uint32_t> multiplicity(n);
   for (size_t t = 0; t < config_.num_trees; ++t) {
-    for (size_t i = 0; i < n; ++i) bootstrap[i] = rng.NextBounded(n);
-    const Dataset sample = train.Subset(bootstrap);
+    std::fill(multiplicity.begin(), multiplicity.end(), 0);
+    for (size_t i = 0; i < n; ++i) ++multiplicity[rng.NextBounded(n)];
     DecisionTreeConfig tree_config;
     tree_config.max_depth = config_.max_depth;
     tree_config.max_features = max_features;
@@ -42,7 +45,7 @@ void RandomForest::Fit(const Dataset& train) {
     // count may be below the forest's. That is harmless: every label a
     // tree casts is a global label, and PredictRow counts the cast labels
     // themselves rather than indexing a per-class array.
-    tree.Fit(sample);
+    tree.FitSample(train, columns, multiplicity);
     trees_.push_back(std::move(tree));
   }
   fitted_ = true;

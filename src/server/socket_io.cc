@@ -20,9 +20,9 @@ Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
 }
 
-}  // namespace
-
-Result<int> ListenUnix(const std::string& path, int backlog) {
+// The address of the Unix-domain socket at `path`, which must fit
+// sun_path with its terminating NUL.
+Result<sockaddr_un> UnixAddress(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
@@ -31,6 +31,13 @@ Result<int> ListenUnix(const std::string& path, int backlog) {
         std::to_string(sizeof(addr.sun_path) - 1) + " bytes: " + path);
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return addr;
+}
+
+}  // namespace
+
+Result<int> ListenUnix(const std::string& path, int backlog) {
+  OPTHASH_IO_ASSIGN(addr, UnixAddress(path));
 
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) return Errno("socket");
@@ -53,14 +60,7 @@ Result<int> ListenUnix(const std::string& path, int backlog) {
 }
 
 Result<int> ConnectUnix(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument(
-        "socket path must be 1.." +
-        std::to_string(sizeof(addr.sun_path) - 1) + " bytes: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  OPTHASH_IO_ASSIGN(addr, UnixAddress(path));
 
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) return Errno("socket");

@@ -97,6 +97,20 @@ class RunningServer {
   std::unique_ptr<Server> server_;
 };
 
+// sun_path holds 108 bytes on Linux, its terminating NUL included, so a
+// 108-byte path does not fit; neither does an empty one. Both are
+// rejected before any socket is made or file unlinked.
+TEST(ServerTest, UnixSocketPathsOutsideSunPathAreRejected) {
+  for (const std::string& path : {std::string(), std::string(108, 'p')}) {
+    const Result<int> listened = ListenUnix(path);
+    ASSERT_FALSE(listened.ok());
+    EXPECT_EQ(listened.status().code(), StatusCode::kInvalidArgument);
+    const Result<int> connected = ConnectUnix(path);
+    ASSERT_FALSE(connected.ok());
+    EXPECT_EQ(connected.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(ServerTest, PingAndStatsOnFreshServer) {
   RunningServer running(FreshCms());
   ASSERT_TRUE(running.Start().ok());

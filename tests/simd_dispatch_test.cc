@@ -79,6 +79,23 @@ TEST(SimdDispatchTest, UnavailableTierFailsWithAvailableList) {
   }
 }
 
+// A tier value past the enumerators is never available, so this runs the
+// unavailable-tier error path on every host, AVX2 ones included.
+TEST(SimdDispatchTest, OutOfRangeTierFailsWithAvailableList) {
+  TierGuard guard;
+  const KernelTier before = ActiveKernelTier();
+  const Status status = ForceKernelTier(static_cast<KernelTier>(2));
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("available"), std::string::npos);
+  for (const KernelTier tier : AvailableKernelTiers()) {
+    EXPECT_NE(status.message().find(std::string(KernelTierName(tier))),
+              std::string::npos)
+        << status.message();
+  }
+  EXPECT_EQ(ActiveKernelTier(), before);
+}
+
 TEST(SimdDispatchTest, EnvOverrideIsHonoredWhenSet) {
   // Under a pinned run (the scalar-forced CI leg exports OPTHASH_SIMD
   // before any test runs) the initial selection must match the pin and
