@@ -231,6 +231,18 @@ Status OptHashEstimator::ApplyBucketDeltas(const std::vector<double>& deltas) {
   return Status::OK();
 }
 
+Result<stream::IngestStats> OptHashEstimator::Ingest(
+    Span<const uint64_t> ids, const stream::ShardedIngestConfig& config) {
+  return stream::ShardedIngestCustom(
+      ids, config,
+      [this](size_t) { return std::vector<double>(num_buckets(), 0.0); },
+      [this](std::vector<double>& deltas, size_t /*worker*/,
+             Span<const uint64_t> block) { AccumulateUpdates(block, deltas); },
+      [this](std::vector<double>& deltas) {
+        return ApplyBucketDeltas(deltas);
+      });
+}
+
 void OptHashEstimator::RouteTableOnly(Span<const uint64_t> ids,
                                       OptHashQueryWorkspace& ws) const {
   ws.buckets.resize(ids.size());

@@ -16,6 +16,7 @@
 #include "opt/bcd.h"
 #include "opt/dp.h"
 #include "opt/exact.h"
+#include "stream/sharded_ingest.h"
 
 namespace opthash::core {
 
@@ -131,6 +132,14 @@ class OptHashEstimator : public FrequencyEstimator {
   /// counters. Fails with InvalidArgument unless deltas.size() ==
   /// num_buckets().
   Status ApplyBucketDeltas(const std::vector<double>& deltas);
+
+  /// Ingests a block of arrival ids through the sharded ingestion engine:
+  /// each worker accumulates into a private delta array and the arrays
+  /// fold back in worker order, exactly a sequential Update loop at any
+  /// thread count. The `apply` verb and the daemon's bundle model both
+  /// ingest here.
+  Result<stream::IngestStats> Ingest(Span<const uint64_t> ids,
+                                     const stream::ShardedIngestConfig& config);
 
   /// Scalar point query. Routes through the batch machinery with
   /// batch = 1 (thread-local workspace), so the learned path performs no

@@ -10,10 +10,6 @@
 
 namespace opthash::io {
 
-namespace {
-constexpr const char* kTextBundleMagic = "opthash.bundle.v1";
-}  // namespace
-
 const char* SnapshotFormatName(SnapshotFormat format) {
   return format == SnapshotFormat::kBinary ? "binary" : "text";
 }
@@ -83,80 +79,6 @@ Result<SnapshotFormat> DetectFileFormat(const std::string& path) {
 }
 
 namespace {
-
-Result<ModelBundle> LoadTextBundle(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::NotFound("cannot read: " + path);
-  std::string magic;
-  file >> magic;
-  if (magic != kTextBundleMagic) {
-    return Status::InvalidArgument("not an opthash model bundle: " + path);
-  }
-  auto featurizer = stream::BagOfWordsFeaturizer::DeserializeFrom(file);
-  if (!featurizer.ok()) return featurizer.status();
-  std::stringstream rest;
-  rest << file.rdbuf();
-  auto estimator = core::OptHashEstimator::Deserialize(rest.str());
-  if (!estimator.ok()) return estimator.status();
-  ModelBundle bundle;
-  bundle.featurizer = std::move(featurizer).value();
-  bundle.estimator = std::move(estimator).value();
-  return bundle;
-}
-
-Result<ModelBundle> LoadBinaryBundle(const std::string& path) {
-  auto reader = SnapshotReader::Open(path);
-  if (!reader.ok()) return reader.status();
-  const SnapshotView& view = reader.value().view();
-  const SnapshotSection* featurizer_section =
-      view.Find(SectionType::kFeaturizer);
-  const SnapshotSection* estimator_section =
-      view.Find(SectionType::kOptHashEstimator);
-  if (featurizer_section == nullptr || estimator_section == nullptr) {
-    return Status::InvalidArgument(
-        path +
-        " is a snapshot but not a model bundle (featurizer + "
-        "estimator sections required)");
-  }
-  ByteReader featurizer_in(featurizer_section->payload);
-  auto featurizer =
-      stream::BagOfWordsFeaturizer::DeserializeBinary(featurizer_in);
-  if (!featurizer.ok()) return featurizer.status();
-  OPTHASH_IO_RETURN_IF_ERROR(featurizer_in.ExpectFullyConsumed());
-  ByteReader estimator_in(estimator_section->payload);
-  auto estimator = core::OptHashEstimator::DeserializeBinary(estimator_in);
-  if (!estimator.ok()) return estimator.status();
-  OPTHASH_IO_RETURN_IF_ERROR(estimator_in.ExpectFullyConsumed());
-  ModelBundle bundle;
-  bundle.featurizer = std::move(featurizer).value();
-  bundle.estimator = std::move(estimator).value();
-  return bundle;
-}
-
-}  // namespace
-
-Result<ModelBundle> LoadModelBundle(const std::string& path) {
-  auto format = DetectFileFormat(path);
-  if (!format.ok()) return format.status();
-  auto bundle = format.value() == SnapshotFormat::kBinary
-                    ? LoadBinaryBundle(path)
-                    : LoadTextBundle(path);
-  if (!bundle.ok()) return bundle;
-  // The classifier reads the featurizer's rows; a mismatch would abort
-  // the first query that needs it (a BundleQueryEngine classifies the
-  // blank payload as soon as it is built), so it is a load error.
-  const ml::Classifier* classifier = bundle.value().estimator->classifier();
-  const size_t dim = bundle.value().featurizer.FeatureDim();
-  if (classifier != nullptr && classifier->NumFeatures() != dim) {
-    return Status::InvalidArgument(
-        path + ": classifier reads " +
-        std::to_string(classifier->NumFeatures()) +
-        " features but the featurizer writes " + std::to_string(dim));
-  }
-  return bundle;
-}
-
-namespace {
 // The blank payload featurizes to the same row on every call, so the
 // classifier's bucket for it is a constant of the bundle.
 int32_t BlankPayloadBucket(const ModelBundle& bundle) {
@@ -197,8 +119,13 @@ Result<MappedEstimatorView> MappedEstimatorView::Open(
     const std::string& path, bool verify_crc) {
   auto snapshot = MappedSnapshot::Open(path, verify_crc);
   if (!snapshot.ok()) return snapshot.status();
+  return FromMapping(std::move(snapshot).value(), path);
+}
+
+Result<MappedEstimatorView> MappedEstimatorView::FromMapping(
+    MappedSnapshot snapshot, const std::string& path) {
   const SnapshotSection* section =
-      snapshot.value().view().Find(SectionType::kOptHashEstimator);
+      snapshot.view().Find(SectionType::kOptHashEstimator);
   if (section == nullptr) {
     return Status::InvalidArgument(path + " holds no estimator section");
   }
@@ -243,7 +170,7 @@ Result<MappedEstimatorView> MappedEstimatorView::Open(
     view.table_ = core::LearnedTable(view.decoded_ids_.data(),
                                      view.decoded_buckets_.data(), stored);
   }
-  view.snapshot_ = std::move(snapshot).value();
+  view.snapshot_ = std::move(snapshot);
   return view;
 }
 

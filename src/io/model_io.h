@@ -28,6 +28,9 @@ enum class SnapshotFormat {
 
 const char* SnapshotFormatName(SnapshotFormat format);
 
+/// First token of a text bundle.
+inline constexpr char kTextBundleMagic[] = "opthash.bundle.v1";
+
 /// Parses a `--format` flag value ("text" | "binary").
 Result<SnapshotFormat> ParseSnapshotFormat(const std::string& name);
 
@@ -54,7 +57,8 @@ Result<SnapshotFormat> DetectFileFormat(const std::string& path);
 /// bundle — reading other than FeatureDim() features, predicting more
 /// classes than there are buckets, or (rf) holding a tree that disagrees
 /// with its forest — is InvalidArgument here, never an abort at query
-/// time.
+/// time. Opens through the artifact opener (io/artifact.cc), so a sketch
+/// checkpoint is InvalidArgument too.
 Result<ModelBundle> LoadModelBundle(const std::string& path);
 
 /// \brief Batched query pipeline over a loaded model bundle — the serving
@@ -112,6 +116,10 @@ class MappedEstimatorView {
  public:
   static Result<MappedEstimatorView> Open(const std::string& path,
                                           bool verify_crc = false);
+  /// The view over a binary bundle already mapped; `path` names it in
+  /// errors.
+  static Result<MappedEstimatorView> FromMapping(MappedSnapshot snapshot,
+                                                 const std::string& path);
 
   /// Bucket of a stored id, or -1 when the id is not in the learned
   /// table (this view cannot fall back to the classifier).

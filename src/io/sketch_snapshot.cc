@@ -2,26 +2,17 @@
 
 namespace opthash::io {
 
-Result<std::vector<SectionType>> ListSnapshotSections(
-    const std::string& path) {
-  // Header/table-only probe: dispatching on the result must not cost a
-  // full-file read before the real load does its own verified pass.
-  return PeekSectionTypes(path);
-}
-
-bool MmapServingSupported(SectionType type) {
-  if (type == SectionType::kOptHashEstimator) return true;
-  return VisitSketchKind(type, [](auto kind) {
-           return decltype(kind)::kInfo.mmap_view;
-         }).value_or(false);
-}
-
 Result<MappedCountMinView> MappedCountMinView::Open(const std::string& path,
                                                     bool verify_crc) {
   auto snapshot = MappedSnapshot::Open(path, verify_crc);
   if (!snapshot.ok()) return snapshot.status();
+  return FromMapping(std::move(snapshot).value(), path);
+}
+
+Result<MappedCountMinView> MappedCountMinView::FromMapping(
+    MappedSnapshot snapshot, const std::string& path) {
   const SnapshotSection* section =
-      snapshot.value().view().Find(SectionType::kCountMinSketch);
+      snapshot.view().Find(SectionType::kCountMinSketch);
   if (section == nullptr) {
     return Status::InvalidArgument(path + " holds no count-min section");
   }
@@ -64,7 +55,7 @@ Result<MappedCountMinView> MappedCountMinView::Open(const std::string& path,
   view.levels_ = sketch::CountMinLevels(static_cast<size_t>(width),
                                         static_cast<size_t>(depth),
                                         seed);
-  view.snapshot_ = std::move(snapshot).value();
+  view.snapshot_ = std::move(snapshot);
   return view;
 }
 

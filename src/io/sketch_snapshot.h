@@ -48,20 +48,6 @@ Result<Sketch> LoadSketchSnapshot(const std::string& path) {
   return sketch;
 }
 
-/// Section types present in a snapshot file, in file order — lets callers
-/// (the CLI `restore` verb) dispatch without knowing what was saved.
-Result<std::vector<SectionType>> ListSnapshotSections(
-    const std::string& path);
-
-/// True when the section type has a zero-copy mapped serving view
-/// (`restore --mmap`): sketch kinds with the table's mmap_view column
-/// (count-min: MappedCountMinView) and model-bundle estimator sections
-/// (MappedEstimatorView). Every other sketch kind must be deserialized
-/// fully — callers that were asked for
-/// mmap should say so explicitly and report the mode they actually used
-/// instead of silently downgrading.
-bool MmapServingSupported(SectionType type);
-
 /// \brief Zero-copy point-query view over a count-min snapshot.
 ///
 /// Open mmaps the file, validates header + section table (payload CRC only
@@ -79,6 +65,10 @@ class MappedCountMinView {
  public:
   static Result<MappedCountMinView> Open(const std::string& path,
                                          bool verify_crc = false);
+  /// The view over a count-min checkpoint already mapped; `path` names it
+  /// in errors.
+  static Result<MappedCountMinView> FromMapping(MappedSnapshot snapshot,
+                                                const std::string& path);
 
   /// Point query: min over levels, identical to CountMinSketch::Estimate
   /// on the snapshotted state.

@@ -105,9 +105,8 @@ class SnapshotView {
 /// \brief Reads only the header and section table of a snapshot file and
 /// returns the section types in file order — the cheap "what is this
 /// file?" probe. Header and table CRCs are verified; payloads are neither
-/// read nor CRC-checked, so dispatching on the result (the CLI restore /
-/// resume paths) costs table-size I/O instead of a full-file pass before
-/// the real load.
+/// read nor CRC-checked, so the probe costs table-size I/O instead of a
+/// full-file pass.
 Result<std::vector<SectionType>> PeekSectionTypes(const std::string& path);
 
 /// \brief Owning snapshot reader: slurps the file into memory and parses

@@ -11,31 +11,13 @@ Result<SectionType> PeekWindowedInnerType(Span<const uint8_t> payload) {
         std::to_string(version));
   }
   OPTHASH_IO_ASSIGN(inner_type, in.ReadU32());
-  switch (static_cast<SectionType>(inner_type)) {
-    case SectionType::kCountMinSketch:
-    case SectionType::kCountSketch:
-    case SectionType::kAmsSketch:
-    case SectionType::kLearnedCountMin:
-    case SectionType::kMisraGries:
-    case SectionType::kSpaceSaving:
-      return static_cast<SectionType>(inner_type);
-    default:
-      return Status::InvalidArgument(
-          "windowed payload declares unknown sub-sketch section type " +
-          std::to_string(inner_type));
-  }
-}
-
-Result<SectionType> WindowedInnerTypeOfFile(const std::string& path) {
-  OPTHASH_IO_ASSIGN(reader, SnapshotReader::Open(path));
-  const SnapshotSection* section =
-      reader.view().Find(SectionType::kWindowedSketch);
-  if (section == nullptr) {
+  const auto inner = static_cast<SectionType>(inner_type);
+  if (!VisitSketchKind(inner, [](auto) { return true; }).has_value()) {
     return Status::InvalidArgument(
-        path + " holds no " + SectionTypeName(SectionType::kWindowedSketch) +
-        " section");
+        "windowed payload declares unknown sub-sketch section type " +
+        std::to_string(inner_type));
   }
-  return PeekWindowedInnerType(section->payload);
+  return inner;
 }
 
 }  // namespace opthash::io

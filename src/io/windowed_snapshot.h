@@ -32,12 +32,9 @@ inline constexpr uint8_t kWindowedSketchPayloadVersion = 1;
 inline constexpr uint32_t kMaxWindowsInSnapshot = 1u << 20;
 
 /// The sub-sketch kind stored inside a kWindowedSketch payload — the
-/// restore-time dispatch probe (cheap: reads the fixed prefix only).
+/// restore-time dispatch probe (cheap: reads the fixed prefix only). Any
+/// kind with a row in the sketch-kind table is accepted.
 Result<SectionType> PeekWindowedInnerType(Span<const uint8_t> payload);
-
-/// PeekWindowedInnerType for a snapshot file on disk; fails with a
-/// readable Status when the file has no windowed-sketch section.
-Result<SectionType> WindowedInnerTypeOfFile(const std::string& path);
 
 template <typename Sketch>
 void SerializeWindowedSketch(const sketch::WindowedSketch<Sketch>& windowed,
@@ -125,8 +122,8 @@ Status SaveWindowedSketchSnapshot(
   return writer.WriteToFile(path);
 }
 
-/// Restores a ring checkpointed by SaveWindowedSketchSnapshot; the caller
-/// picks the Sketch type after probing with WindowedInnerTypeOfFile.
+/// Restores a ring checkpointed by SaveWindowedSketchSnapshot into a
+/// known Sketch type; io::VisitArtifact picks the type from the file.
 template <typename Sketch>
 Result<sketch::WindowedSketch<Sketch>> LoadWindowedSketchSnapshot(
     const std::string& path) {

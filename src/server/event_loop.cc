@@ -33,10 +33,6 @@ Status EventLoopConfig::Validate() const {
         "write buffer cap must hold at least one full frame (" +
         std::to_string(kMaxFramePayload + 64) + " bytes)");
   }
-  if (write_high_watermark > max_write_buffer) {
-    return Status::InvalidArgument(
-        "write high watermark cannot exceed the write buffer cap");
-  }
   return Status::OK();
 }
 
@@ -445,11 +441,8 @@ void EventLoop::FlushWrites(Connection& connection) {
       connection.doomed = true;
       return;
     }
-    const size_t watermark = config_.write_high_watermark > 0
-                                 ? config_.write_high_watermark
-                                 : config_.max_write_buffer / 2;
     if (!connection.close_after_flush && !connection.eof) {
-      connection.want_read = pending <= watermark;
+      connection.want_read = pending <= config_.max_write_buffer / 2;
     }
     if (connection.write_head > (1u << 20)) {
       // Compact the consumed prefix so a long drain doesn't pin it.

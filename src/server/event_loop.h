@@ -44,11 +44,9 @@ struct EventLoopConfig {
   double idle_timeout_seconds = 0.0;
   /// Hard cap on bytes buffered for one connection's unread replies;
   /// beyond it the connection is closed (a slow reader must not grow the
-  /// daemon's memory without bound).
+  /// daemon's memory without bound). Above half of it the loop stops
+  /// READING from the connection until the peer drains.
   size_t max_write_buffer = 32u << 20;
-  /// Above this many pending reply bytes the loop stops READING from the
-  /// connection until the peer drains (0 = max_write_buffer / 2).
-  size_t write_high_watermark = 0;
 
   Status Validate() const;
 };

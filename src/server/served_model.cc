@@ -4,10 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "io/model_io.h"
-#include "io/sketch_kinds.h"
-#include "io/sketch_snapshot.h"
-#include "io/windowed_snapshot.h"
+#include "io/artifact.h"
 #include "sketch/estimate_as_double.h"
 #include "sketch/windowed_sketch.h"
 #include "stream/trace_io.h"
@@ -186,23 +183,7 @@ class BundleModel : public ServedModel {
 
   Status Ingest(Span<const uint64_t> keys,
                 const stream::ShardedIngestConfig& config) override {
-    // Stream processing only adds to bucket counters through the
-    // read-only learned table, so per-worker delta arrays folded back at
-    // the end are exactly a sequential Update loop (the `apply` verb's
-    // engine invocation).
-    core::OptHashEstimator& estimator = *bundle_->estimator;
-    auto stats = stream::ShardedIngestCustom(
-        keys, config,
-        [&estimator](size_t) {
-          return std::vector<double>(estimator.num_buckets(), 0.0);
-        },
-        [&estimator](std::vector<double>& deltas, size_t /*worker*/,
-                     Span<const uint64_t> block) {
-          estimator.AccumulateUpdates(block, deltas);
-        },
-        [&estimator](std::vector<double>& deltas) {
-          return estimator.ApplyBucketDeltas(deltas);
-        });
+    auto stats = bundle_->estimator->Ingest(keys, config);
     return stats.ok() ? Status::OK() : stats.status();
   }
 
@@ -321,62 +302,6 @@ Status AmsRejected(const std::string& path) {
       "moment — it cannot serve per-key frequency queries (use `restore`)");
 }
 
-// Opens a single-sketch checkpoint: a plain sketch, or a windowed ring
-// whose inner section picks the kind. Only count-min has a mapped view;
-// every other kind (windowed rings included) falls back to a full load
-// on an mmap request (mmap_used stays false) rather than refusing to
-// serve.
-Result<OpenedModel> OpenSketch(const std::string& path, io::SectionType type,
-                               bool use_mmap) {
-  const bool windowed = type == io::SectionType::kWindowedSketch;
-  if (windowed) {
-    auto inner = io::WindowedInnerTypeOfFile(path);
-    if (!inner.ok()) return inner.status();
-    type = inner.value();
-  }
-  const Status unservable = Status::InvalidArgument(
-      path + (windowed ? " holds no servable windowed sub-sketch"
-                       : " holds no servable sketch section"));
-  auto opened = io::VisitSketchKind(
-      type, [&](auto kind) -> Result<OpenedModel> {
-        using Kind = decltype(kind);
-        using Sketch = typename Kind::Sketch;
-        OpenedModel opened;
-        if constexpr (!Kind::kInfo.per_key) {
-          return AmsRejected(path);
-        } else if (windowed) {
-          static_assert(Kind::kInfo.windowable,
-                        "the daemon serves every per-key kind windowed too");
-          auto ring = io::LoadWindowedSketchSnapshot<Sketch>(path);
-          if (!ring.ok()) return ring.status();
-          opened.model = std::make_unique<WindowedSketchModel<Sketch>>(
-              std::move(ring).value());
-          return opened;
-        } else {
-          if constexpr (Kind::kInfo.mmap_view) {
-            static_assert(std::is_same_v<Sketch, sketch::CountMinSketch>,
-                          "MappedCountMinView is the only mapped sketch view");
-            if (use_mmap) {
-              auto view = io::MappedCountMinView::Open(path);
-              if (!view.ok()) return view.status();
-              opened.model =
-                  std::make_unique<MappedModel<io::MappedCountMinView>>(
-                      std::move(view).value());
-              opened.mmap_used = true;
-              return opened;
-            }
-          }
-          auto sketch = io::LoadSketchSnapshot<Sketch>(path);
-          if (!sketch.ok()) return sketch.status();
-          opened.model =
-              std::make_unique<SketchModel<Sketch>>(std::move(sketch).value());
-          return opened;
-        }
-      });
-  if (!opened.has_value()) return unservable;
-  return std::move(*opened);
-}
-
 // "learned-count-min, windowed-learned-count-min, ..., mapped-model-bundle":
 // every served kind with native top-k, for the unsupported-kind error.
 std::string TopKKinds() {
@@ -413,44 +338,32 @@ Status ServedModel::WindowStats(WindowStatsSnapshot& out) const {
 }
 
 Result<OpenedModel> OpenServedModel(const std::string& path, bool use_mmap) {
-  auto format = io::DetectFileFormat(path);
-  if (!format.ok()) return format.status();
-
-  if (format.value() == io::SnapshotFormat::kText) {
-    // A text bundle has no mappable layout; like every other unsupported
-    // kind, an mmap request falls back to a full load (reported via
-    // mmap_used) instead of refusing to serve — a daemon that comes up
-    // degraded beats one that stays down. The offline `restore --mmap`
-    // verb follows the same contract.
-    auto bundle = io::LoadModelBundle(path);
-    if (!bundle.ok()) return bundle.status();
-    OpenedModel opened;
-    opened.model = std::make_unique<BundleModel>(std::move(bundle).value());
-    return opened;
-  }
-
-  auto sections = io::ListSnapshotSections(path);
-  if (!sections.ok()) return sections.status();
-  if (sections.value().size() == 1 &&
-      sections.value().front() < io::SectionType::kLogisticRegression) {
-    return OpenSketch(path, sections.value().front(), use_mmap);
-  }
-
-  // Multi-section binary files are model bundles.
-  if (use_mmap) {
-    auto view = io::MappedEstimatorView::Open(path);
-    if (!view.ok()) return view.status();
-    OpenedModel opened;
-    opened.model = std::make_unique<MappedModel<io::MappedEstimatorView>>(
-        std::move(view).value());
-    opened.mmap_used = true;
-    return opened;
-  }
-  auto bundle = io::LoadModelBundle(path);
-  if (!bundle.ok()) return bundle.status();
-  OpenedModel opened;
-  opened.model = std::make_unique<BundleModel>(std::move(bundle).value());
-  return opened;
+  // Kinds without a mapped view (text bundles, every sketch but count-min,
+  // windowed rings) arrive fully loaded on an mmap request: the daemon
+  // comes up degraded (mmap_used false) rather than staying down, the
+  // same contract as the offline `restore --mmap` verb.
+  return io::VisitArtifact(
+      path, use_mmap, [&](auto&& artifact) -> Result<OpenedModel> {
+        using Artifact = std::decay_t<decltype(artifact)>;
+        OpenedModel opened;
+        if constexpr (std::is_same_v<Artifact, io::ModelBundle>) {
+          opened.model = std::make_unique<BundleModel>(std::move(artifact));
+        } else if constexpr (io::kIsMappedView<Artifact>) {
+          opened.model =
+              std::make_unique<MappedModel<Artifact>>(std::move(artifact));
+          opened.mmap_used = true;
+        } else if constexpr (io::kIsWindowed<Artifact>) {
+          opened.model = std::make_unique<
+              WindowedSketchModel<typename Artifact::SubSketch>>(
+              std::move(artifact));
+        } else if constexpr (!io::kSketchKindOf<Artifact>.per_key) {
+          return AmsRejected(path);
+        } else {
+          opened.model =
+              std::make_unique<SketchModel<Artifact>>(std::move(artifact));
+        }
+        return opened;
+      });
 }
 
 Result<std::unique_ptr<ServedModel>> CreateServedSketch(

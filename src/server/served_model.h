@@ -111,10 +111,11 @@ struct OpenedModel {
 };
 
 /// Loads any CLI-produced artifact for serving: text or binary model
-/// bundles, or single-sketch snapshot containers. With `use_mmap`, kinds
-/// that support zero-copy serving (count-min checkpoints, binary model
-/// bundles) are mapped read-only; unsupported kinds fall back to a full
-/// load (reported via OpenedModel::mmap_used).
+/// bundles, or single-sketch snapshot containers, opened once through
+/// io::VisitArtifact. With `use_mmap`, kinds that support zero-copy
+/// serving (count-min checkpoints, binary model bundles) are mapped
+/// read-only; unsupported kinds fall back to a full load (reported via
+/// OpenedModel::mmap_used).
 Result<OpenedModel> OpenServedModel(const std::string& path, bool use_mmap);
 
 /// Geometry of a fresh, empty sketch to serve (daemon started with

@@ -63,6 +63,7 @@ double WindowDecayWeight(double decay, size_t age);
 template <typename Sketch>
 class WindowedSketch {
  public:
+  using SubSketch = Sketch;
   static constexpr bool kHasNativeTopK = HasNativeTopK<Sketch>::value;
 
   /// The prototype contributes geometry and seed only (via EmptyClone);

@@ -308,9 +308,6 @@ TEST(EventLoopTest, ConfigValidationRejectsUnservableCaps) {
   config.poll_millis = 0;
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
   config = EventLoopConfig{};
-  config.write_high_watermark = config.max_write_buffer + 1;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = EventLoopConfig{};
   config.idle_timeout_seconds = -1.0;
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(EventLoopConfig{}.Validate().ok());

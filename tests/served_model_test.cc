@@ -1,0 +1,186 @@
+// OpenServedModel across every artifact the CLI writes: each sketch-kind
+// row, plain and (where windowable) windowed, plus text and binary model
+// bundles, each opened with and without mmap. Only plain count-min
+// checkpoints and binary bundles map; AMS is refused; every other open is
+// a full load. Every served answer equals the object the file was
+// written from.
+
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "io/model_io.h"
+#include "io/sketch_kinds.h"
+#include "io/sketch_snapshot.h"
+#include "io/windowed_snapshot.h"
+#include "server/served_model.h"
+#include "sketch/estimate_as_double.h"
+#include "sketch/windowed_sketch.h"
+
+namespace opthash::server {
+namespace {
+
+struct Artifact {
+  std::string name;
+  std::string path;
+  bool per_key = true;  // False: refused at open (AMS).
+  bool maps = false;    // Served from the mapping on an mmap open.
+  std::string kind;     // ServedModel::Kind() of the full load...
+  std::string mapped_kind;  // ...and of the mapped one.
+  std::vector<double> expected;  // Answers for Keys().
+};
+
+std::string PathFor(const std::string& name) {
+  return ::testing::TempDir() + "/served_model_" + name + ".bin";
+}
+
+std::vector<uint64_t> Arrivals() {
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < 600; ++i) ids.push_back(i % 7 == 0 ? i : i % 23);
+  return ids;
+}
+
+// Stored and heavy ids, light ones and ids that never arrived.
+std::vector<uint64_t> Keys() {
+  std::vector<uint64_t> keys;
+  for (uint64_t id = 0; id < 60; ++id) keys.push_back(id);
+  for (uint64_t id = 5000; id < 5010; ++id) keys.push_back(id);
+  return keys;
+}
+
+void AddSketchArtifacts(std::vector<Artifact>& out) {
+  const std::vector<uint64_t> arrivals = Arrivals();
+  const std::vector<uint64_t> keys = Keys();
+  io::FreshSketchGeometry geometry;
+  geometry.width = 64;
+  geometry.depth = 3;
+  geometry.capacity = 16;
+  geometry.buckets = 64;
+  geometry.heavy = 4;
+  geometry.prefix = arrivals;
+  io::ForEachSketchKind([&](auto row) {
+    using Kind = decltype(row);
+    using Sketch = typename Kind::Sketch;
+    const std::string cli_name = Kind::kInfo.cli_name;
+    const std::string kind = io::SketchKindName<Sketch>();
+    auto fresh = Kind::MakeFresh(geometry);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
+    Sketch sketch = fresh.value();
+    sketch.UpdateBatch(arrivals);
+    Artifact plain{cli_name, PathFor(cli_name), Kind::kInfo.per_key,
+                   cli_name == "cms", kind, "mapped-count-min", {}};
+    if constexpr (Kind::kInfo.per_key) {
+      plain.expected.resize(keys.size());
+      sketch::EstimateBatchAsDouble(sketch, keys, plain.expected);
+    }
+    ASSERT_TRUE(io::SaveSketchSnapshot(plain.path, sketch).ok());
+    out.push_back(plain);
+
+    if constexpr (Kind::kInfo.windowable) {
+      auto ring = sketch::WindowedSketch<Sketch>::Create(fresh.value(), 3, 150);
+      ASSERT_TRUE(ring.ok()) << ring.status().ToString();
+      ring.value().UpdateBatch(arrivals);
+      const std::string name = "windowed-" + cli_name;
+      Artifact windowed{name, PathFor(name), true, false, "windowed-" + kind,
+                        "", std::vector<double>(keys.size())};
+      ring.value().EstimateBatch(keys, windowed.expected);
+      ASSERT_TRUE(
+          io::SaveWindowedSketchSnapshot(windowed.path, ring.value()).ok());
+      out.push_back(windowed);
+    }
+  });
+}
+
+void AddBundleArtifacts(std::vector<Artifact>& out) {
+  // No classifier: a miss answers 0 owned and mapped alike, so every key
+  // compares, not only the stored ids.
+  io::ModelBundle bundle;
+  bundle.featurizer = stream::BagOfWordsFeaturizer(16);
+  bundle.featurizer.Fit({{"a", 3.0}});
+  core::OptHashConfig config;
+  config.total_buckets = 80;
+  config.id_ratio = 0.5;
+  config.solver = core::SolverKind::kDp;
+  config.classifier = core::ClassifierKind::kNone;
+  std::vector<core::PrefixElement> prefix;
+  for (uint64_t id = 0; id < 40; ++id) {
+    prefix.push_back({.id = id, .frequency = 1.0 + id, .features = {0.0}});
+  }
+  auto trained = core::OptHashEstimator::Train(config, prefix);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  bundle.estimator = std::move(trained).value();
+  std::vector<double> expected;
+  for (uint64_t id : Keys()) {
+    expected.push_back(bundle.estimator->Estimate({id, nullptr}));
+  }
+  for (const io::SnapshotFormat format :
+       {io::SnapshotFormat::kText, io::SnapshotFormat::kBinary}) {
+    const std::string name =
+        std::string(io::SnapshotFormatName(format)) + "-bundle";
+    Artifact artifact{name, PathFor(name), true,
+                      format == io::SnapshotFormat::kBinary, "model-bundle",
+                      "mapped-model-bundle", expected};
+    ASSERT_TRUE(io::SaveModelBundle(artifact.path, bundle, format).ok());
+    out.push_back(artifact);
+  }
+}
+
+TEST(OpenServedModelTest, EveryArtifactKindWithAndWithoutMmap) {
+  std::vector<Artifact> artifacts;
+  AddSketchArtifacts(artifacts);
+  AddBundleArtifacts(artifacts);
+  // Six rows, five of them windowable, and two bundle encodings.
+  ASSERT_EQ(artifacts.size(), 13u);
+  const std::vector<uint64_t> keys = Keys();
+  for (const Artifact& artifact : artifacts) {
+    for (const bool use_mmap : {false, true}) {
+      SCOPED_TRACE(artifact.name + (use_mmap ? ", mmap" : ", full load"));
+      auto opened = OpenServedModel(artifact.path, use_mmap);
+      if (!artifact.per_key) {
+        ASSERT_FALSE(opened.ok());
+        EXPECT_NE(opened.status().message().find("AMS"), std::string::npos)
+            << opened.status().ToString();
+        continue;
+      }
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      const bool mapped = use_mmap && artifact.maps;
+      EXPECT_EQ(opened.value().mmap_used, mapped);
+      const ServedModel& model = *opened.value().model;
+      EXPECT_EQ(model.ReadOnly(), mapped);
+      EXPECT_EQ(model.Kind(), mapped ? artifact.mapped_kind : artifact.kind);
+      auto context = model.NewQueryContext();
+      std::vector<double> answers(keys.size());
+      model.EstimateBatch(*context, keys, answers);
+      EXPECT_EQ(answers, artifact.expected);
+    }
+  }
+}
+
+TEST(OpenServedModelTest, MmapFallbackStillChecksEveryPayloadCrc) {
+  // A kind without a mapped view is loaded fully from the mapping, so a
+  // flipped counter byte must fail the open like a plain full load does.
+  sketch::CountMinSketch proto(64, 3, 1);
+  auto ring = sketch::WindowedSketch<sketch::CountMinSketch>::Create(
+      proto, 2, 10);
+  ASSERT_TRUE(ring.ok());
+  ring.value().UpdateBatch(Arrivals());
+  const std::string path = PathFor("corrupt-windowed");
+  ASSERT_TRUE(io::SaveWindowedSketchSnapshot(path, ring.value()).ok());
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(-1, std::ios::end);
+    file.put('\x7F');
+  }
+  for (const bool use_mmap : {false, true}) {
+    auto opened = OpenServedModel(path, use_mmap);
+    ASSERT_FALSE(opened.ok()) << "use_mmap " << use_mmap;
+    EXPECT_NE(opened.status().message().find("CRC"), std::string::npos)
+        << opened.status().ToString();
+  }
+}
+
+}  // namespace
+}  // namespace opthash::server

@@ -281,7 +281,7 @@ TEST(ShardedIngestCustomTest, MergeFailurePropagates) {
 
 TEST(OptHashShardedApplyTest, DeltaPathMatchesSequentialUpdates) {
   // Train a tiny estimator, then apply the same stream once via Update and
-  // once via the sharded AccumulateUpdates/ApplyBucketDeltas path.
+  // once via Ingest, the sharded AccumulateUpdates/ApplyBucketDeltas path.
   std::vector<core::PrefixElement> prefix;
   Rng feature_rng(1);
   for (size_t i = 0; i < 10; ++i) {
@@ -315,18 +315,8 @@ TEST(OptHashShardedApplyTest, DeltaPathMatchesSequentialUpdates) {
     auto fresh = core::OptHashEstimator::Train(config, prefix);
     ASSERT_TRUE(fresh.ok());
     core::OptHashEstimator& estimator = fresh.value();
-    auto stats = ShardedIngestCustom(
-        Span<const uint64_t>(stream), Config(threads, ShardMode::kReplicated),
-        [&estimator](size_t) {
-          return std::vector<double>(estimator.num_buckets(), 0.0);
-        },
-        [&estimator](std::vector<double>& deltas, size_t /*worker*/,
-                     Span<const uint64_t> block) {
-          estimator.AccumulateUpdates(block, deltas);
-        },
-        [&estimator](std::vector<double>& deltas) {
-          return estimator.ApplyBucketDeltas(deltas);
-        });
+    auto stats = estimator.Ingest(Span<const uint64_t>(stream),
+                                  Config(threads, ShardMode::kReplicated));
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     for (size_t j = 0; j < estimator.num_buckets(); ++j) {
       EXPECT_DOUBLE_EQ(estimator.BucketFrequency(j),

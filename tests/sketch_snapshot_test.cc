@@ -176,7 +176,7 @@ TEST(SketchSnapshotTest, LoadRejectsWrongSketchKind) {
   ASSERT_TRUE(SaveSketchSnapshot(path, sketch).ok());
   EXPECT_FALSE(LoadSketchSnapshot<sketch::CountMinSketch>(path).ok());
   EXPECT_TRUE(LoadSketchSnapshot<sketch::MisraGries>(path).ok());
-  auto sections = ListSnapshotSections(path);
+  auto sections = PeekSectionTypes(path);
   ASSERT_TRUE(sections.ok());
   ASSERT_EQ(sections.value().size(), 1u);
   EXPECT_EQ(sections.value().front(), SectionType::kMisraGries);
@@ -285,18 +285,6 @@ TEST(MappedCountMinViewTest, VerifyFlagCatchesCorruption) {
     file.put('\x7F');
   }
   EXPECT_FALSE(MappedCountMinView::Open(path, /*verify_crc=*/true).ok());
-}
-
-TEST(MmapServingSupportedTest, OnlyCountMinAndEstimatorHaveMappedViews) {
-  // The CLI's `restore --mmap` fallback notice keys off this predicate;
-  // a new mapped view must flip its section here (and drop the notice).
-  EXPECT_TRUE(MmapServingSupported(SectionType::kCountMinSketch));
-  EXPECT_TRUE(MmapServingSupported(SectionType::kOptHashEstimator));
-  EXPECT_FALSE(MmapServingSupported(SectionType::kCountSketch));
-  EXPECT_FALSE(MmapServingSupported(SectionType::kAmsSketch));
-  EXPECT_FALSE(MmapServingSupported(SectionType::kLearnedCountMin));
-  EXPECT_FALSE(MmapServingSupported(SectionType::kMisraGries));
-  EXPECT_FALSE(MmapServingSupported(SectionType::kSpaceSaving));
 }
 
 }  // namespace

@@ -14,18 +14,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/evaluation.h"
 #include "core/opt_hash_estimator.h"
-#include "io/model_io.h"
-#include "io/sketch_kinds.h"
-#include "io/sketch_snapshot.h"
-#include "io/windowed_snapshot.h"
+#include "io/artifact.h"
 #include "sketch/estimate_as_double.h"
 #include "sketch/windowed_sketch.h"
 #include "server/protocol.h"
@@ -194,6 +191,8 @@ int Fail(const Status& status) {
   return 1;
 }
 
+int ExitCode(const Status& status) { return status.ok() ? 0 : Fail(status); }
+
 int CmdTrain(const Flags& flags) {
   if (!flags.Has("trace") || !flags.Has("out")) {
     return Fail(Status::InvalidArgument("train needs --trace and --out"));
@@ -305,23 +304,7 @@ int CmdApply(const Flags& flags) {
   ids.reserve(trace.value().size());
   for (const auto& record : trace.value()) ids.push_back(record.id);
 
-  // Stream processing only adds to bucket counters through the read-only
-  // learned table, so each worker accumulates into a private delta array
-  // and the deltas fold back in at the end — exactly equivalent to a
-  // sequential Update loop at any thread count.
-  core::OptHashEstimator& estimator = *bundle.value().estimator;
-  auto stats = stream::ShardedIngestCustom(
-      ids, config,
-      [&estimator](size_t) {
-        return std::vector<double>(estimator.num_buckets(), 0.0);
-      },
-      [&estimator](std::vector<double>& deltas, size_t /*worker*/,
-                   Span<const uint64_t> block) {
-        estimator.AccumulateUpdates(block, deltas);
-      },
-      [&estimator](std::vector<double>& deltas) {
-        return estimator.ApplyBucketDeltas(deltas);
-      });
+  auto stats = bundle.value().estimator->Ingest(ids, config);
   if (!stats.ok()) return Fail(stats.status());
   std::printf("applied %zu arrivals (%zu threads, %.3fs, %.0f items/sec)\n",
               stats.value().num_items, stats.value().threads_used,
@@ -427,67 +410,30 @@ Result<std::vector<uint64_t>> TraceIds(const std::string& path) {
 
 // Ingests `ids` into a plain sketch and writes it back as a checkpoint.
 template <typename Sketch>
-int IngestAndSave(Sketch sketch, Span<const uint64_t> ids,
-                  const std::string& out) {
+Status IngestAndSave(Sketch sketch, Span<const uint64_t> ids,
+                     const std::string& out) {
   sketch.UpdateBatch(ids);
-  const Status saved = io::SaveSketchSnapshot(out, sketch);
-  if (!saved.ok()) return Fail(saved);
+  OPTHASH_IO_RETURN_IF_ERROR(io::SaveSketchSnapshot(out, sketch));
   std::printf("%s checkpoint: ingested %zu arrivals, written to %s\n",
               io::SketchKindName<Sketch>(), ids.size(), out.c_str());
-  return 0;
+  return Status::OK();
 }
 
 // Windowed counting rides the same snapshot verb: the ring (position,
 // per-window counts, sub-sketches) IS the checkpoint, so a later
 // `--in prev.bin` run resumes mid-window exactly where this one stopped.
 template <typename Sketch>
-int IngestAndSave(sketch::WindowedSketch<Sketch> ring,
-                  Span<const uint64_t> ids, const std::string& out) {
+Status IngestAndSave(sketch::WindowedSketch<Sketch> ring,
+                     Span<const uint64_t> ids, const std::string& out) {
   ring.UpdateBatch(ids);
-  const Status saved = io::SaveWindowedSketchSnapshot(out, ring);
-  if (!saved.ok()) return Fail(saved);
+  OPTHASH_IO_RETURN_IF_ERROR(io::SaveWindowedSketchSnapshot(out, ring));
   std::printf(
       "windowed %s checkpoint: ingested %zu arrivals (%zu windows x %llu "
       "items, sequence %llu), written to %s\n",
       io::SketchKindName<Sketch>(), ids.size(), ring.num_windows(),
       static_cast<unsigned long long>(ring.window_items()),
       static_cast<unsigned long long>(ring.window_sequence()), out.c_str());
-  return 0;
-}
-
-// Loads the single-sketch checkpoint `in`, whose one section is
-// `section`, and returns use(loaded): the plain sketch, or the
-// WindowedSketch ring of a windowed checkpoint. The checkpoint's own
-// section picks the kind; a ring's inner section picks its sub-sketch.
-template <typename Use>
-int WithCheckpoint(const std::string& in, io::SectionType section,
-                   Use&& use) {
-  const bool windowed = section == io::SectionType::kWindowedSketch;
-  if (windowed) {
-    auto inner = io::WindowedInnerTypeOfFile(in);
-    if (!inner.ok()) return Fail(inner.status());
-    section = inner.value();
-  }
-  const Status unknown = Status::InvalidArgument(
-      in + (windowed ? " wraps a sub-sketch kind without per-key estimates"
-                     : " holds no sketch section (is it a model bundle?)"));
-  const auto done = io::VisitSketchKind(section, [&](auto kind) -> int {
-    using Kind = decltype(kind);
-    using Sketch = typename Kind::Sketch;
-    if (!windowed) {
-      auto sketch = io::LoadSketchSnapshot<Sketch>(in);
-      if (!sketch.ok()) return Fail(sketch.status());
-      return use(std::move(sketch).value());
-    }
-    if constexpr (Kind::kInfo.windowable) {
-      auto ring = io::LoadWindowedSketchSnapshot<Sketch>(in);
-      if (!ring.ok()) return Fail(ring.status());
-      return use(std::move(ring).value());
-    } else {
-      return Fail(unknown);
-    }
-  });
-  return done.has_value() ? *done : Fail(unknown);
+  return Status::OK();
 }
 
 // The `--sketch` names of the windowable kinds as an English list
@@ -545,15 +491,17 @@ int CmdSnapshot(const Flags& flags) {
   // geometry flags apply only to fresh checkpoints.
   if (flags.Has("in")) {
     const std::string in = flags.Get("in", "");
-    auto sections = io::ListSnapshotSections(in);
-    if (!sections.ok()) return Fail(sections.status());
-    if (sections.value().size() != 1) {
-      return Fail(Status::InvalidArgument(
-          in + " is not a single-sketch checkpoint"));
-    }
-    return WithCheckpoint(in, sections.value().front(), [&](auto loaded) {
-      return IngestAndSave(std::move(loaded), ids.value(), out);
-    });
+    return ExitCode(io::VisitArtifact(
+        in, /*use_mmap=*/false, [&](auto&& artifact) -> Status {
+          using Artifact = std::decay_t<decltype(artifact)>;
+          if constexpr (std::is_same_v<Artifact, io::ModelBundle> ||
+                        io::kIsMappedView<Artifact>) {
+            return Status::InvalidArgument(
+                in + " is not a single-sketch checkpoint");
+          } else {
+            return IngestAndSave(std::move(artifact), ids.value(), out);
+          }
+        }));
   }
 
   // Fresh path: a learned count-min ranks its oracle keys from this
@@ -586,10 +534,11 @@ int CmdSnapshot(const Flags& flags) {
         auto ring = sketch::WindowedSketch<typename Kind::Sketch>::Create(
             fresh.value(), windows, window_flag.value(), decay_flag.value());
         if (!ring.ok()) return Fail(ring.status());
-        return IngestAndSave(std::move(ring).value(), ids.value(), out);
+        return ExitCode(
+            IngestAndSave(std::move(ring).value(), ids.value(), out));
       }
     }
-    return IngestAndSave(std::move(fresh).value(), ids.value(), out);
+    return ExitCode(IngestAndSave(std::move(fresh).value(), ids.value(), out));
   });
   if (!done.has_value()) {
     return Fail(Status::InvalidArgument("unknown sketch kind: " + kind));
@@ -617,10 +566,10 @@ void ReportLoadMode(bool mmap) {
 // blocks through the batch API; estimate_block fills one Span<double>
 // per block.
 template <typename BatchFn>
-int PrintEstimatesBatch(const Flags& flags, size_t block_size,
-                        BatchFn estimate_block) {
+Status PrintEstimatesBatch(const Flags& flags, size_t block_size,
+                           BatchFn estimate_block) {
   auto ids = TraceIds(flags.Get("trace", ""));
-  if (!ids.ok()) return Fail(ids.status());
+  if (!ids.ok()) return ids.status();
   std::printf("id,estimate\n");
   const std::vector<uint64_t> distinct = DistinctInOrder(ids.value());
   std::vector<double> estimates(std::min(block_size, distinct.size()));
@@ -634,77 +583,59 @@ int PrintEstimatesBatch(const Flags& flags, size_t block_size,
                   estimates[i]);
     }
   }
-  return 0;
+  return Status::OK();
 }
 
-int RestoreBundle(const Flags& flags, const std::string& in, bool use_mmap,
-                  size_t block_size) {
-  // Restored serving answers featureless id queries, which the learned
-  // table alone resolves, owned or mapped alike.
-  std::optional<io::MappedEstimatorView> view;
-  std::optional<io::ModelBundle> bundle;
-  core::LearnedTable table;
-  core::BucketCounters counters;
-  if (use_mmap) {
-    auto opened = io::MappedEstimatorView::Open(in);
-    if (!opened.ok()) return Fail(opened.status());
-    view = std::move(opened).value();
-    ReportLoadMode(/*mmap=*/true);
-    if (!flags.Has("trace")) {
-      std::printf(
-          "mapped model bundle: %zu buckets, %zu stored ids (stored-id "
-          "queries only)\n",
-          view->num_buckets(), view->num_stored_ids());
-      return 0;
-    }
-    table = view->table();
-    counters = view->bucket_counters();
-  } else {
-    auto loaded = io::LoadModelBundle(in);
-    if (!loaded.ok()) return Fail(loaded.status());
-    bundle = std::move(loaded).value();
-    ReportLoadMode(/*mmap=*/false);
-    if (!flags.Has("trace")) {
-      std::printf("model bundle: %zu buckets, %zu stored ids, %.2f KB\n",
-                  bundle->estimator->num_buckets(),
-                  bundle->estimator->num_stored_ids(),
-                  bundle->estimator->MemoryKb());
-      return 0;
-    }
-    table = bundle->estimator->table();
-    counters = bundle->estimator->bucket_counters();
+// Restored serving answers featureless id queries, which the learned
+// table alone resolves, owned or mapped alike.
+Status PrintRestored(const Flags& flags, const std::string& /*in*/,
+                     size_t block_size, const io::ModelBundle& bundle) {
+  const core::OptHashEstimator& estimator = *bundle.estimator;
+  if (!flags.Has("trace")) {
+    std::printf("model bundle: %zu buckets, %zu stored ids, %.2f KB\n",
+                estimator.num_buckets(), estimator.num_stored_ids(),
+                estimator.MemoryKb());
+    return Status::OK();
   }
   return PrintEstimatesBatch(
-      flags, block_size,
-      [&table, &counters](Span<const uint64_t> keys, Span<double> out) {
-        core::EstimateStoredIds(table, counters, keys, out);
+      flags, block_size, [&](Span<const uint64_t> keys, Span<double> out) {
+        core::EstimateStoredIds(estimator.table(),
+                                estimator.bucket_counters(), keys, out);
       });
 }
 
-// A count-min checkpoint served zero-copy from the mapped file; the
-// count-min row is the table's only one with a mapped view.
-int RestoreMappedCountMin(const Flags& flags, const std::string& in,
-                          size_t block_size) {
-  auto view = io::MappedCountMinView::Open(in);
-  if (!view.ok()) return Fail(view.status());
-  ReportLoadMode(/*mmap=*/true);
+Status PrintRestored(const Flags& flags, const std::string& /*in*/,
+                     size_t block_size, const io::MappedEstimatorView& view) {
   if (!flags.Has("trace")) {
-    std::printf("mapped count-min: %zux%zu counters, %llu arrivals\n",
-                view.value().depth(), view.value().width(),
-                static_cast<unsigned long long>(view.value().total_count()));
-    return 0;
+    std::printf(
+        "mapped model bundle: %zu buckets, %zu stored ids (stored-id "
+        "queries only)\n",
+        view.num_buckets(), view.num_stored_ids());
+    return Status::OK();
   }
   return PrintEstimatesBatch(
-      flags, block_size,
-      [&view](Span<const uint64_t> keys, Span<double> out) {
-        sketch::EstimateBatchAsDouble(view.value(), keys, out);
+      flags, block_size, [&](Span<const uint64_t> keys, Span<double> out) {
+        view.EstimateBatch(keys, out);
+      });
+}
+
+Status PrintRestored(const Flags& flags, const std::string& /*in*/,
+                     size_t block_size, const io::MappedCountMinView& view) {
+  if (!flags.Has("trace")) {
+    std::printf("mapped count-min: %zux%zu counters, %llu arrivals\n",
+                view.depth(), view.width(),
+                static_cast<unsigned long long>(view.total_count()));
+    return Status::OK();
+  }
+  return PrintEstimatesBatch(
+      flags, block_size, [&](Span<const uint64_t> keys, Span<double> out) {
+        sketch::EstimateBatchAsDouble(view, keys, out);
       });
 }
 
 template <typename Sketch>
-int PrintRestored(const Flags& flags, const std::string& in,
-                  size_t block_size, const Sketch& sketch) {
-  ReportLoadMode(/*mmap=*/false);
+Status PrintRestored(const Flags& flags, const std::string& in,
+                     size_t block_size, const Sketch& sketch) {
   const char* kind = io::SketchKindName<Sketch>();
   if constexpr (!io::kSketchKindOf<Sketch>.per_key) {
     // AMS answers only the stream-wide F2 moment.
@@ -716,11 +647,11 @@ int PrintRestored(const Flags& flags, const std::string& in,
     }
     std::printf("%s checkpoint restored from %s\nf2,%.2f\n", kind,
                 in.c_str(), sketch.EstimateF2());
-    return 0;
+    return Status::OK();
   } else {
     if (!flags.Has("trace")) {
       std::printf("%s checkpoint restored from %s\n", kind, in.c_str());
-      return 0;
+      return Status::OK();
     }
     return PrintEstimatesBatch(
         flags, block_size,
@@ -731,10 +662,9 @@ int PrintRestored(const Flags& flags, const std::string& in,
 }
 
 template <typename Sketch>
-int PrintRestored(const Flags& flags, const std::string& in,
-                  size_t block_size,
-                  const sketch::WindowedSketch<Sketch>& ring) {
-  ReportLoadMode(/*mmap=*/false);
+Status PrintRestored(const Flags& flags, const std::string& in,
+                     size_t block_size,
+                     const sketch::WindowedSketch<Sketch>& ring) {
   if (!flags.Has("trace")) {
     std::printf(
         "windowed %s checkpoint restored from %s: %zu windows x %llu "
@@ -743,7 +673,7 @@ int PrintRestored(const Flags& flags, const std::string& in,
         static_cast<unsigned long long>(ring.window_items()),
         static_cast<unsigned long long>(ring.window_sequence()),
         ring.decay());
-    return 0;
+    return Status::OK();
   }
   // WindowedSketch answers in double natively (decay weights are
   // fractional), so no raw-counter staging is needed.
@@ -752,6 +682,18 @@ int PrintRestored(const Flags& flags, const std::string& in,
       [&ring](Span<const uint64_t> keys, Span<double> out) {
         ring.EstimateBatch(keys, out);
       });
+}
+
+// What an mmap request fell back from, for the notice.
+template <typename Artifact>
+const char* FullLoadKind() {
+  if constexpr (std::is_same_v<Artifact, io::ModelBundle>) {
+    return "text bundles";  // Binary bundles always map.
+  } else if constexpr (io::kIsWindowed<Artifact>) {
+    return "windowed checkpoints";
+  } else {
+    return io::SketchKindName<Artifact>();
+  }
 }
 
 int CmdRestore(const Flags& flags) {
@@ -770,41 +712,23 @@ int CmdRestore(const Flags& flags) {
   const std::string in = flags.Get("in", "");
 
   // Zero-copy serving exists only for count-min checkpoints and binary
-  // model bundles: every other artifact downgrades to a full load with a
+  // model bundles: every other artifact arrives fully loaded, with a
   // notice (the daemon's contract too), and the `load mode:` line always
   // reports what actually happened.
-  const auto fall_back = [](const char* what) {
-    std::fprintf(stderr, "note: mmap unsupported for %s, loading fully\n",
-                 what);
-  };
-  auto format = io::DetectFileFormat(in);
-  if (!format.ok()) return Fail(format.status());
-  if (format.value() == io::SnapshotFormat::kText) {
-    if (use_mmap) fall_back("text bundles");
-    return RestoreBundle(flags, in, /*use_mmap=*/false, block);
-  }
-
-  auto sections = io::ListSnapshotSections(in);
-  if (!sections.ok()) return Fail(sections.status());
-  if (sections.value().size() == 1) {
-    const io::SectionType section = sections.value().front();
-    const bool windowed = section == io::SectionType::kWindowedSketch;
-    if (windowed ||
-        io::VisitSketchKind(section, [](auto) { return true; }).has_value()) {
-      if (use_mmap && io::MmapServingSupported(section)) {
-        return RestoreMappedCountMin(flags, in, block);
-      }
-      if (use_mmap) {
-        fall_back(windowed ? "windowed checkpoints"
-                           : io::SectionTypeName(section));
-      }
-      return WithCheckpoint(in, section, [&](auto loaded) {
-        return PrintRestored(flags, in, block, loaded);
-      });
-    }
-  }
-  // Multi-section binary files are model bundles.
-  return RestoreBundle(flags, in, use_mmap, block);
+  return ExitCode(io::VisitArtifact(
+      in, use_mmap, [&](auto&& artifact) -> Status {
+        using Artifact = std::decay_t<decltype(artifact)>;
+        constexpr bool kMapped = io::kIsMappedView<Artifact>;
+        if constexpr (!kMapped) {
+          if (use_mmap) {
+            std::fprintf(stderr,
+                         "note: mmap unsupported for %s, loading fully\n",
+                         FullLoadKind<Artifact>());
+          }
+        }
+        ReportLoadMode(kMapped);
+        return PrintRestored(flags, in, block, artifact);
+      }));
 }
 
 // Offline heavy hitters over any servable artifact, answered through the
