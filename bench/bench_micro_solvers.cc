@@ -1,7 +1,10 @@
-// google-benchmark micro-benchmarks for the optimization core: one BCD
-// sweep, the three DP layer algorithms (the quadratic / divide-and-conquer
-// / SMAWK ladder of §4.4 and refs [39][40]), and the exact solver on tiny
+// google-benchmark micro-benchmarks for the optimization core: BCD solves
+// (random problems with b = 10, and the learn_querylog day-0 problem), the
+// three DP layer algorithms (the quadratic / divide-and-conquer / SMAWK
+// ladder of §4.4 and refs [39][40]), and the exact solver on tiny
 // instances.
+
+#include <algorithm>
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +12,7 @@
 #include "opt/bcd.h"
 #include "opt/dp.h"
 #include "opt/exact.h"
+#include "stream/query_log.h"
 
 namespace opthash::opt {
 namespace {
@@ -55,6 +59,48 @@ void BM_BcdSolveMixedLambda(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * 5);
 }
 BENCHMARK(BM_BcdSolveMixedLambda)->Arg(256)->Arg(1024)->Arg(4096);
+
+// The learn_querylog benchmark's solve: day 0 of a 50k-query log with 12k
+// arrivals per day, 4096 total buckets and c = 0.3, so 3,150 ids sampled
+// by frequency (as OptHashEstimator::Train does) into 946 buckets. The
+// prefix has few distinct frequencies and every bucket is pure after one
+// sweep, so most candidate buckets cannot win a move.
+HashingProblem QueryLogDayZeroProblem() {
+  stream::QueryLogConfig log_config;
+  log_config.num_queries = 50'000;
+  log_config.arrivals_per_day = 12'000;
+  log_config.num_days = 31;
+  const stream::QueryLog log(log_config);
+  std::vector<double> counts(log.NumQueries() + 1, 0.0);
+  for (size_t rank : log.GenerateDay(0)) counts[log.QueryId(rank)] += 1.0;
+  std::vector<double> prefix;
+  for (double count : counts) {
+    if (count > 0.0) prefix.push_back(count);
+  }
+  // Train's split of 4096 buckets at c = 0.3: floor(4096 / 1.3) = 3150
+  // stored ids, sampled with its default seed, and 946 buckets.
+  const size_t ids = 3150;
+  Rng rng(1);
+  std::vector<size_t> chosen =
+      WeightedSampleWithoutReplacement(prefix, ids, rng);
+  std::sort(chosen.begin(), chosen.end());
+  HashingProblem problem;
+  problem.num_buckets = 4096 - ids;
+  problem.lambda = 1.0;
+  for (size_t index : chosen) problem.frequencies.push_back(prefix[index]);
+  return problem;
+}
+
+void BM_BcdSolveQueryLogDayZero(benchmark::State& state) {
+  const HashingProblem problem = QueryLogDayZeroProblem();
+  for (auto _ : state) {
+    BcdSolver solver;
+    benchmark::DoNotOptimize(solver.Solve(problem).objective.overall);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(problem.NumElements()));
+}
+BENCHMARK(BM_BcdSolveQueryLogDayZero)->Unit(benchmark::kMillisecond);
 
 void BM_DpQuadraticMean(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));

@@ -89,16 +89,19 @@ Result<OptHashEstimator> OptHashEstimator::Train(
   opt::HashingProblem problem;
   problem.num_buckets = num_buckets;
   problem.lambda = config.lambda;
-  problem.frequencies.reserve(chosen.size());
   const bool have_features = !prefix.front().features.empty();
-  if (have_features) problem.features.reserve(chosen.size());
-  for (size_t index : chosen) {
-    problem.frequencies.push_back(prefix[index].frequency);
-    if (have_features) problem.features.push_back(prefix[index].features);
-  }
   if (config.lambda < 1.0 && !have_features) {
     return Status::InvalidArgument(
         "lambda < 1 requires element features in the prefix");
+  }
+  // Only the similarity term reads features, so at lambda = 1 no row is
+  // copied; the classifier takes its rows from the prefix.
+  const bool copy_features = config.lambda < 1.0;
+  problem.frequencies.reserve(chosen.size());
+  if (copy_features) problem.features.reserve(chosen.size());
+  for (size_t index : chosen) {
+    problem.frequencies.push_back(prefix[index].frequency);
+    if (copy_features) problem.features.push_back(prefix[index].features);
   }
 
   opt::SolveResult solved;

@@ -40,6 +40,8 @@ void BucketStats::Remove(double f, const std::vector<double>& x) {
                     "Remove of a frequency that is not a bucket member");
   sorted_freqs_.erase(pos);
   freq_sum_ -= f;
+  // An emptied bucket must score like a fresh one, so kill the drift.
+  if (sorted_freqs_.empty()) freq_sum_ = 0.0;
   prefix_sums_.resize(sorted_freqs_.size() + 1);
   for (size_t i = 0; i < sorted_freqs_.size(); ++i) {
     prefix_sums_[i + 1] = prefix_sums_[i] + sorted_freqs_[i];
@@ -69,11 +71,8 @@ double BucketStats::SumAbsDeviations(double pivot) const {
   const auto split =
       std::lower_bound(sorted_freqs_.begin(), sorted_freqs_.end(), pivot);
   const auto below = static_cast<size_t>(split - sorted_freqs_.begin());
-  const size_t above = sorted_freqs_.size() - below;
-  const double below_sum = prefix_sums_[below];
-  const double above_sum = freq_sum_ - below_sum;
-  return (pivot * static_cast<double>(below) - below_sum) +
-         (above_sum - pivot * static_cast<double>(above));
+  return SplitAbsDeviations(pivot, below, prefix_sums_[below],
+                            sorted_freqs_.size(), freq_sum_);
 }
 
 double BucketStats::EstimationError() const {

@@ -6,6 +6,21 @@
 
 namespace opthash::opt {
 
+/// \brief Σ_k |f_k - pivot| over `count` members of frequency sum `sum`,
+/// given that exactly the `below` smallest of them (of sum `below_sum`) lie
+/// under the pivot.
+///
+/// This is BucketStats::SumAbsDeviations' arithmetic after its search; a
+/// caller that already knows the split (the pivot lies outside the members'
+/// range) gets the same bits without the search.
+inline double SplitAbsDeviations(double pivot, size_t below, double below_sum,
+                                 size_t count, double sum) {
+  const size_t above = count - below;
+  const double above_sum = sum - below_sum;
+  return (pivot * static_cast<double>(below) - below_sum) +
+         (above_sum - pivot * static_cast<double>(above));
+}
+
 /// \brief Incrementally maintained statistics for one bucket I_j.
 ///
 /// This is the data structure behind Algorithm 1's "we maintain, for each
@@ -43,8 +58,13 @@ class BucketStats {
   /// Mean frequency mu_j; 0 for an empty bucket.
   double Mean() const;
 
-  /// Sum of member frequencies.
+  /// Sum of member frequencies, maintained incrementally (exactly 0 once
+  /// the bucket empties).
   double FrequencySum() const { return freq_sum_; }
+
+  /// Sum of member frequencies added in ascending order: the below-sum
+  /// SumAbsDeviations uses when every member lies under the pivot.
+  double SortedSum() const { return prefix_sums_.back(); }
 
   /// Estimation error e_j = Σ_{i∈I_j} |f_i - mu_j|.
   double EstimationError() const;

@@ -1,9 +1,13 @@
 #include "opt/bcd.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "core/opt_hash_estimator.h"
 #include "opt/dp.h"
 #include "opt_test_util.h"
+#include "stream/query_log.h"
 
 namespace opthash::opt {
 namespace {
@@ -194,6 +198,60 @@ INSTANTIATE_TEST_SUITE_P(Inits, BcdInitSweep,
                                            InitStrategy::kSortedSplit,
                                            InitStrategy::kHeavyHitter,
                                            InitStrategy::kDpWarmStart));
+
+// FNV-1a over the assignment's int32 values.
+uint64_t AssignmentDigest(const Assignment& assignment) {
+  uint64_t hash = 14695981039346656037ULL;
+  for (int32_t bucket : assignment) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, &bucket, sizeof(bits));
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffU;
+      hash *= 1099511628211ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(BcdTest, QueryLogDayZeroSolveGolden) {
+  // The solve behind the learn_querylog benchmark's set-up: day 0 of a
+  // 50k-query log with 12k arrivals per day, 4096 total buckets, c = 0.3,
+  // lambda = 1 (3,150 stored ids with 44 distinct frequencies, in 946
+  // buckets). After one sweep every bucket is pure and the largest holds
+  // 811 members, a regime the small bundle_train golden never reaches. The
+  // digest and the sweep objectives were captured from the unpruned
+  // candidate scan; any speed-up must reproduce them bit for bit.
+  stream::QueryLogConfig log_config;
+  log_config.num_queries = 50'000;
+  log_config.arrivals_per_day = 12'000;
+  log_config.num_days = 31;
+  const stream::QueryLog log(log_config);
+  std::vector<double> counts(log.NumQueries() + 1, 0.0);
+  for (size_t rank : log.GenerateDay(0)) counts[log.QueryId(rank)] += 1.0;
+  std::vector<core::PrefixElement> prefix;
+  for (uint64_t id = 1; id <= log.NumQueries(); ++id) {
+    if (counts[id] > 0.0) prefix.push_back({id, counts[id], {}});
+  }
+  core::OptHashConfig config;
+  config.total_buckets = 4096;
+  config.id_ratio = 0.3;
+  config.lambda = 1.0;
+  config.solver = core::SolverKind::kBcd;
+  config.classifier = core::ClassifierKind::kNone;
+  auto trained = core::OptHashEstimator::Train(config, prefix);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const SolveResult& solved = trained.value().training_info().solve_result;
+  EXPECT_EQ(solved.assignment.size(), 3150u);
+  EXPECT_EQ(trained.value().training_info().num_buckets, 946u);
+  EXPECT_EQ(solved.iterations, 3u);
+  EXPECT_EQ(AssignmentDigest(solved.assignment), 0xba216b20761f87f8ULL);
+  const std::vector<double> expected_sweeps = {
+      0x1.5c0f6b0df6b0ep+12, 0x1.8000000001145p+1, 0x1.145p-39, 0x1.145p-39};
+  ASSERT_EQ(solved.sweep_objectives.size(), expected_sweeps.size());
+  for (size_t t = 0; t < expected_sweeps.size(); ++t) {
+    EXPECT_EQ(solved.sweep_objectives[t], expected_sweeps[t]) << "sweep " << t;
+  }
+}
 
 }  // namespace
 }  // namespace opthash::opt

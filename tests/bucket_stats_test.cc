@@ -210,5 +210,54 @@ TEST(BucketStatsTest, FeaturelessBucketIgnoresSimilarity) {
   EXPECT_DOUBLE_EQ(bucket.Error(0.5), 0.5 * 8.0);
 }
 
+TEST(BucketStatsTest, EmptiedBucketScoresLikeAFreshOne) {
+  // 0.1 + 0.2 - 0.1 - 0.2 rounds to 2.78e-17, not 0. An emptied bucket
+  // that kept that residue would score a tiny positive error for its next
+  // element and lose ties a fresh bucket wins.
+  BucketStats bucket(0);
+  bucket.Add(0.1, {});
+  bucket.Add(0.2, {});
+  bucket.Remove(0.1, {});
+  bucket.Remove(0.2, {});
+  const BucketStats fresh(0);
+  EXPECT_TRUE(bucket.empty());
+  EXPECT_EQ(bucket.FrequencySum(), 0.0);
+  EXPECT_EQ(bucket.Mean(), 0.0);
+  EXPECT_EQ(bucket.EstimationErrorWith(0.1), fresh.EstimationErrorWith(0.1));
+  EXPECT_EQ(bucket.EstimationErrorWith(0.1), 0.0);
+}
+
+TEST(BucketStatsTest, EstimationDeltaLowerBound) {
+  // Hosting f in a non-empty bucket raises its estimation error by at least
+  // 2 |f - mu| / (c + 1): a member lies on each side of the mean, and the
+  // mean moves by (f - mu) / (c + 1). BCD prunes candidates with this
+  // bound, less a rounding slack of 1e-9 (S + e + f + 1).
+  Rng rng(5);
+  for (int trial = 0; trial < 2000; ++trial) {
+    BucketStats bucket(0);
+    const size_t count = 1 + rng.NextBounded(20);
+    const bool integers = trial % 2 == 0;
+    for (size_t i = 0; i < count; ++i) {
+      const double member = integers ? static_cast<double>(rng.NextBounded(30))
+                                     : rng.NextDouble(0.0, 30.0);
+      bucket.Add(member, {});
+    }
+    const double f = integers ? static_cast<double>(rng.NextBounded(40))
+                              : rng.NextDouble(0.0, 40.0);
+    const double e = bucket.EstimationError();
+    const double delta = bucket.EstimationErrorWith(f) - e;
+    const double bound = 2.0 * std::abs(f - bucket.Mean()) /
+                         static_cast<double>(bucket.count() + 1);
+    const double slack = 1e-9 * (bucket.FrequencySum() + e + f + 1.0);
+    EXPECT_GE(delta, bound - slack) << "trial " << trial;
+  }
+  // The bound is tight: {0, 0, 10} hosting 0 moves the mean from 10/3 to
+  // 5/2 and raises the error from 40/3 to 15, exactly 2 (10/3) / 4.
+  BucketStats tight(0);
+  for (double f : {0.0, 0.0, 10.0}) tight.Add(f, {});
+  EXPECT_NEAR(tight.EstimationErrorWith(0.0) - tight.EstimationError(),
+              2.0 * (10.0 / 3.0) / 4.0, 1e-12);
+}
+
 }  // namespace
 }  // namespace opthash::opt
