@@ -115,13 +115,6 @@ void BundleQueryEngine::EstimateBlock(
       });
 }
 
-Result<MappedEstimatorView> MappedEstimatorView::Open(
-    const std::string& path, bool verify_crc) {
-  auto snapshot = MappedSnapshot::Open(path, verify_crc);
-  if (!snapshot.ok()) return snapshot.status();
-  return FromMapping(std::move(snapshot).value(), path);
-}
-
 Result<MappedEstimatorView> MappedEstimatorView::FromMapping(
     MappedSnapshot snapshot, const std::string& path) {
   const SnapshotSection* section =

@@ -103,10 +103,11 @@ class BundleQueryEngine {
 
 /// \brief Zero-copy serving view over a *binary* model bundle.
 ///
-/// Open mmaps the snapshot and runs OptHashEstimator's own table probe and
-/// bucket gather over the payload's columns in the mapping (a big-endian
-/// host decodes them once): no table build, no counter memcpy, restart
-/// cost independent of model size. The classifier section is NOT
+/// FromMapping takes a mapped snapshot, whose payload CRCs are left
+/// unchecked, and runs OptHashEstimator's own table probe and bucket
+/// gather over the payload's columns in the mapping (a big-endian host
+/// decodes them once): no table build, no counter memcpy, restart cost
+/// independent of model size. The classifier section is NOT
 /// materialized, so only stored-id queries are answerable; unseen-element
 /// (classifier) queries need the full LoadModelBundle. Estimates for
 /// stored ids are bit-identical to OptHashEstimator::Estimate.
@@ -114,8 +115,6 @@ class BundleQueryEngine {
 /// Move-only; owns its mapping.
 class MappedEstimatorView {
  public:
-  static Result<MappedEstimatorView> Open(const std::string& path,
-                                          bool verify_crc = false);
   /// The view over a binary bundle already mapped; `path` names it in
   /// errors.
   static Result<MappedEstimatorView> FromMapping(MappedSnapshot snapshot,

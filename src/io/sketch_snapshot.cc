@@ -2,13 +2,6 @@
 
 namespace opthash::io {
 
-Result<MappedCountMinView> MappedCountMinView::Open(const std::string& path,
-                                                    bool verify_crc) {
-  auto snapshot = MappedSnapshot::Open(path, verify_crc);
-  if (!snapshot.ok()) return snapshot.status();
-  return FromMapping(std::move(snapshot).value(), path);
-}
-
 Result<MappedCountMinView> MappedCountMinView::FromMapping(
     MappedSnapshot snapshot, const std::string& path) {
   const SnapshotSection* section =

@@ -16,7 +16,8 @@ namespace opthash::io {
 
 /// Checkpoints one sketch as a single-section snapshot container — the
 /// mid-stream durability primitive: serialize, fsync-free atomic-enough
-/// write, resume later with LoadSketchSnapshot and keep ingesting.
+/// write, resume later through io::VisitArtifact (io/artifact.h) and keep
+/// ingesting.
 /// Works for every kind in the sketch-kind table (io/sketch_kinds.h).
 template <typename Sketch>
 Status SaveSketchSnapshot(const std::string& path, const Sketch& sketch) {
@@ -27,31 +28,10 @@ Status SaveSketchSnapshot(const std::string& path, const Sketch& sketch) {
   return writer.WriteToFile(path);
 }
 
-/// Restores a sketch checkpointed by SaveSketchSnapshot. Full CRC
-/// verification; fails with a clean Status on a missing/mismatched
-/// section, corruption, or trailing bytes.
-template <typename Sketch>
-Result<Sketch> LoadSketchSnapshot(const std::string& path) {
-  auto reader = SnapshotReader::Open(path);
-  if (!reader.ok()) return reader.status();
-  const SnapshotSection* section =
-      reader.value().view().Find(kSketchKindOf<Sketch>.section);
-  if (section == nullptr) {
-    return Status::InvalidArgument(
-        path + " holds no " +
-        SectionTypeName(kSketchKindOf<Sketch>.section) + " section");
-  }
-  ByteReader in(section->payload);
-  auto sketch = Sketch::Deserialize(in);
-  if (!sketch.ok()) return sketch.status();
-  OPTHASH_IO_RETURN_IF_ERROR(in.ExpectFullyConsumed());
-  return sketch;
-}
-
 /// \brief Zero-copy point-query view over a count-min snapshot.
 ///
-/// Open mmaps the file, validates header + section table (payload CRC only
-/// when `verify_crc` — checking it would fault in every counter page,
+/// FromMapping takes a mapped snapshot (header + section table validated,
+/// payload CRC unchecked — checking it would fault in every counter page,
 /// which is exactly what a hot restart wants to avoid), redraws the level
 /// hashes from the stored seed, and then answers through CountMinSketch's
 /// own walk straight from the mapped counters (a big-endian host decodes
@@ -60,11 +40,10 @@ Result<Sketch> LoadSketchSnapshot(const std::string& path) {
 ///
 /// The view owns its mapping (move-only); estimates are byte-identical to
 /// a fully deserialized CountMinSketch. Use this for read-mostly serving;
-/// to keep ingesting, load a mutable sketch with LoadSketchSnapshot.
+/// to keep ingesting, open the checkpoint without mmap through
+/// io::VisitArtifact, which hands over a mutable CountMinSketch.
 class MappedCountMinView {
  public:
-  static Result<MappedCountMinView> Open(const std::string& path,
-                                         bool verify_crc = false);
   /// The view over a count-min checkpoint already mapped; `path` names it
   /// in errors.
   static Result<MappedCountMinView> FromMapping(MappedSnapshot snapshot,

@@ -121,8 +121,7 @@ Status SnapshotWriter::WriteToFile(const std::string& path) const {
   return Status::OK();
 }
 
-Result<SnapshotView> SnapshotView::Parse(Span<const uint8_t> bytes,
-                                         bool verify_payload_crcs) {
+Result<SnapshotView> SnapshotView::Parse(Span<const uint8_t> bytes) {
   if (bytes.size() < kSnapshotHeaderSize) {
     return Status::InvalidArgument("snapshot shorter than its header");
   }
@@ -179,12 +178,6 @@ Result<SnapshotView> SnapshotView::Parse(Span<const uint8_t> bytes,
     section.type = static_cast<SectionType>(type);
     section.payload = Span<const uint8_t>(bytes.data() + offset, size);
     section.crc = crc;
-    if (verify_payload_crcs &&
-        Crc32(section.payload.data(), section.payload.size()) != crc) {
-      return Status::InvalidArgument(
-          std::string("payload CRC mismatch in section ") +
-          SectionTypeName(section.type));
-    }
     view.sections_.push_back(section);
   }
   return view;
@@ -209,64 +202,6 @@ Status SnapshotView::VerifyPayloadCrcs() const {
   return Status::OK();
 }
 
-Result<std::vector<SectionType>> PeekSectionTypes(const std::string& path) {
-  std::ifstream file(path, std::ios::binary | std::ios::ate);
-  if (!file) return Status::NotFound("cannot read: " + path);
-  const auto actual_size = static_cast<uint64_t>(file.tellg());
-  file.seekg(0);
-  uint8_t header[kSnapshotHeaderSize] = {};
-  if (actual_size < kSnapshotHeaderSize ||
-      !file.read(reinterpret_cast<char*>(header), kSnapshotHeaderSize)) {
-    return Status::InvalidArgument("snapshot shorter than its header");
-  }
-  if (std::memcmp(header, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    return Status::InvalidArgument("not an opthash snapshot (bad magic)");
-  }
-  ByteReader reader(header, kSnapshotHeaderSize);
-  (void)reader.ReadSpan(sizeof(kSnapshotMagic));
-  const uint32_t version = reader.ReadU32().value();
-  const uint32_t section_count = reader.ReadU32().value();
-  const uint64_t file_size = reader.ReadU64().value();
-  const uint32_t table_crc = reader.ReadU32().value();
-  const uint32_t header_crc = reader.ReadU32().value();
-  if (Crc32(header, kSnapshotHeaderSize - sizeof(uint32_t)) != header_crc) {
-    return Status::InvalidArgument("snapshot header CRC mismatch");
-  }
-  if (version != kSnapshotVersion) {
-    return Status::InvalidArgument(
-        "unsupported snapshot version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kSnapshotVersion) +
-        ")");
-  }
-  if (file_size != actual_size) {
-    return Status::InvalidArgument(
-        "snapshot truncated: header says " + std::to_string(file_size) +
-        " bytes, file has " + std::to_string(actual_size));
-  }
-  const uint64_t table_bytes =
-      static_cast<uint64_t>(section_count) * kSectionEntrySize;
-  if (kSnapshotHeaderSize + table_bytes > actual_size) {
-    return Status::InvalidArgument("section table exceeds snapshot size");
-  }
-  std::vector<uint8_t> table(static_cast<size_t>(table_bytes));
-  if (!table.empty() &&
-      !file.read(reinterpret_cast<char*>(table.data()),
-                 static_cast<std::streamsize>(table.size()))) {
-    return Status::Internal("short read from " + path);
-  }
-  if (Crc32(table.data(), table.size()) != table_crc) {
-    return Status::InvalidArgument("section table CRC mismatch");
-  }
-  std::vector<SectionType> types;
-  types.reserve(section_count);
-  ByteReader entries(table.data(), table.size());
-  for (uint32_t i = 0; i < section_count; ++i) {
-    types.push_back(static_cast<SectionType>(entries.ReadU32().value()));
-    (void)entries.ReadSpan(kSectionEntrySize - sizeof(uint32_t));
-  }
-  return types;
-}
-
 Result<SnapshotReader> SnapshotReader::Open(const std::string& path) {
   std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) return Status::NotFound("cannot read: " + path);
@@ -283,15 +218,14 @@ Result<SnapshotReader> SnapshotReader::FromBytes(std::vector<uint8_t> bytes) {
   SnapshotReader reader;
   reader.bytes_ = std::move(bytes);
   auto view = SnapshotView::Parse(
-      Span<const uint8_t>(reader.bytes_.data(), reader.bytes_.size()),
-      /*verify_payload_crcs=*/true);
+      Span<const uint8_t>(reader.bytes_.data(), reader.bytes_.size()));
   if (!view.ok()) return view.status();
+  OPTHASH_IO_RETURN_IF_ERROR(view.value().VerifyPayloadCrcs());
   reader.view_ = std::move(view).value();
   return reader;
 }
 
-Result<MappedSnapshot> MappedSnapshot::Open(const std::string& path,
-                                            bool verify_payload_crcs) {
+Result<MappedSnapshot> MappedSnapshot::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);  // NOLINT vararg open
   if (fd < 0) {
     return Status::NotFound("cannot open: " + path + " (" +
@@ -318,8 +252,7 @@ Result<MappedSnapshot> MappedSnapshot::Open(const std::string& path,
   snapshot.data_ = data;
   snapshot.size_ = size;
   auto view = SnapshotView::Parse(
-      Span<const uint8_t>(static_cast<const uint8_t*>(data), size),
-      verify_payload_crcs);
+      Span<const uint8_t>(static_cast<const uint8_t*>(data), size));
   if (!view.ok()) return view.status();  // ~MappedSnapshot unmaps.
   snapshot.view_ = std::move(view).value();
   return snapshot;

@@ -79,15 +79,13 @@ struct SnapshotSection {
 /// \brief Parsed, validated view over snapshot container bytes the caller
 /// keeps alive (an owning reader's buffer or an mmap'd file).
 ///
-/// Parse always validates the header CRC, section-table CRC, magic,
-/// version, and that every section lies inside the buffer. Payload CRCs
-/// are verified when `verify_payload_crcs` is set; mapped snapshots defer
-/// that (it would fault in every page) and can run VerifyPayloadCrcs()
-/// explicitly.
+/// Parse validates the header CRC, section-table CRC, magic, version, and
+/// that every section lies inside the buffer. It never reads a payload:
+/// payload CRCs are checked by VerifyPayloadCrcs() alone, which the owning
+/// reader runs on every open and a mapped snapshot leaves to its caller.
 class SnapshotView {
  public:
-  static Result<SnapshotView> Parse(Span<const uint8_t> bytes,
-                                    bool verify_payload_crcs);
+  static Result<SnapshotView> Parse(Span<const uint8_t> bytes);
 
   const std::vector<SnapshotSection>& sections() const { return sections_; }
 
@@ -102,15 +100,8 @@ class SnapshotView {
   std::vector<SnapshotSection> sections_;
 };
 
-/// \brief Reads only the header and section table of a snapshot file and
-/// returns the section types in file order — the cheap "what is this
-/// file?" probe. Header and table CRCs are verified; payloads are neither
-/// read nor CRC-checked, so the probe costs table-size I/O instead of a
-/// full-file pass.
-Result<std::vector<SectionType>> PeekSectionTypes(const std::string& path);
-
-/// \brief Owning snapshot reader: slurps the file into memory and parses
-/// it with full CRC verification. The straightforward load path; use
+/// \brief Owning snapshot reader: slurps the file into memory, parses it
+/// and verifies every payload CRC. The straightforward load path; use
 /// MappedSnapshot for zero-copy hot restarts.
 class SnapshotReader {
  public:
@@ -130,9 +121,10 @@ class SnapshotReader {
 
 /// \brief mmap-backed snapshot: the file is mapped read-only and section
 /// payloads are served directly from the page cache — no memcpy, no
-/// up-front parse of counter arrays. Header and section table are always
-/// validated on Open; payload CRCs only when `verify_payload_crcs` (off by
-/// default: the point of the mapped path is to *not* touch every page on a
+/// up-front parse of counter arrays. Open validates the header and section
+/// table only; payload CRCs are checked by view().VerifyPayloadCrcs()
+/// alone, which a caller runs when it is about to read every payload byte
+/// anyway (the point of the mapped path is to *not* touch every page on a
 /// hot restart).
 ///
 /// Move-only; the mapping is released on destruction. Views handed out by
@@ -140,8 +132,7 @@ class SnapshotReader {
 /// MappedCountMinView) must keep the MappedSnapshot alive.
 class MappedSnapshot {
  public:
-  static Result<MappedSnapshot> Open(const std::string& path,
-                                     bool verify_payload_crcs = false);
+  static Result<MappedSnapshot> Open(const std::string& path);
 
   /// An empty snapshot (no mapping, no sections) — the moved-from state,
   /// also usable as a member-default before Open's result is assigned in.

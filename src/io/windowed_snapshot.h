@@ -122,27 +122,6 @@ Status SaveWindowedSketchSnapshot(
   return writer.WriteToFile(path);
 }
 
-/// Restores a ring checkpointed by SaveWindowedSketchSnapshot into a
-/// known Sketch type; io::VisitArtifact picks the type from the file.
-template <typename Sketch>
-Result<sketch::WindowedSketch<Sketch>> LoadWindowedSketchSnapshot(
-    const std::string& path) {
-  auto reader = SnapshotReader::Open(path);
-  if (!reader.ok()) return reader.status();
-  const SnapshotSection* section =
-      reader.value().view().Find(SectionType::kWindowedSketch);
-  if (section == nullptr) {
-    return Status::InvalidArgument(
-        path + " holds no " +
-        SectionTypeName(SectionType::kWindowedSketch) + " section");
-  }
-  ByteReader in(section->payload);
-  auto windowed = DeserializeWindowedSketch<Sketch>(in);
-  if (!windowed.ok()) return windowed.status();
-  OPTHASH_IO_RETURN_IF_ERROR(in.ExpectFullyConsumed());
-  return windowed;
-}
-
 }  // namespace opthash::io
 
 #endif  // OPTHASH_IO_WINDOWED_SNAPSHOT_H_

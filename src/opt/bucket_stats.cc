@@ -40,8 +40,6 @@ void BucketStats::Remove(double f, const std::vector<double>& x) {
                     "Remove of a frequency that is not a bucket member");
   sorted_freqs_.erase(pos);
   freq_sum_ -= f;
-  // An emptied bucket must score like a fresh one, so kill the drift.
-  if (sorted_freqs_.empty()) freq_sum_ = 0.0;
   prefix_sums_.resize(sorted_freqs_.size() + 1);
   for (size_t i = 0; i < sorted_freqs_.size(); ++i) {
     prefix_sums_[i + 1] = prefix_sums_[i] + sorted_freqs_[i];
@@ -56,7 +54,13 @@ void BucketStats::Remove(double f, const std::vector<double>& x) {
     feature_sq_sum_ -= sq;
     // Delta computed against the post-removal aggregates: -2 Σ_{k≠x}||x-x_k||².
     similarity_error_ -= 2.0 * SumSquaredDistancesTo(x);
-    if (sorted_freqs_.empty()) similarity_error_ = 0.0;  // Kill drift.
+  }
+  // An emptied bucket must score like a fresh one, so kill the drift.
+  if (sorted_freqs_.empty()) {
+    freq_sum_ = 0.0;
+    std::fill(feature_sum_.begin(), feature_sum_.end(), 0.0);
+    feature_sq_sum_ = 0.0;
+    similarity_error_ = 0.0;
   }
 }
 

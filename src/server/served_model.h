@@ -58,10 +58,12 @@ class ServedModel {
   virtual std::unique_ptr<QueryContext> NewQueryContext() const = 0;
 
   /// out[i] = frequency estimate of keys[i]. keys.size() must equal
-  /// out.size(). Answers are identical to the offline `query`/`restore`
-  /// verbs over the same artifact (bundle queries behave like blank-text
-  /// trace rows: ids the learned table cannot resolve route through the
-  /// classifier on the featurized empty payload).
+  /// out.size(). Sketch answers are identical to the offline `restore`
+  /// verb over the same artifact. A bundle's learned-table misses follow
+  /// one of two rules, by open mode: a full load answers them like
+  /// blank-text rows of the offline `query` verb (the classifier's bucket
+  /// for the featurized empty payload), while the mapped view, which has
+  /// no classifier, answers 0 like `restore` with or without --mmap.
   virtual void EstimateBatch(QueryContext& context, Span<const uint64_t> keys,
                              Span<double> out) const = 0;
 

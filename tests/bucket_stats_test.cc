@@ -225,6 +225,21 @@ TEST(BucketStatsTest, EmptiedBucketScoresLikeAFreshOne) {
   EXPECT_EQ(bucket.Mean(), 0.0);
   EXPECT_EQ(bucket.EstimationErrorWith(0.1), fresh.EstimationErrorWith(0.1));
   EXPECT_EQ(bucket.EstimationErrorWith(0.1), 0.0);
+
+  // The same with 2-d feature rows: the feature sums the similarity score
+  // reads must not keep a residue either.
+  // 0.7 + 0.2 - 0.7 - 0.2 leaves -5.55e-17 the same way.
+  BucketStats featured(2);
+  featured.Add(1.0, {0.7, 0.9});
+  featured.Add(2.0, {0.2, -0.3});
+  featured.Remove(1.0, {0.7, 0.9});
+  featured.Remove(2.0, {0.2, -0.3});
+  const BucketStats fresh_featured(2);
+  EXPECT_TRUE(featured.empty());
+  EXPECT_EQ(featured.SimilarityError(), 0.0);
+  EXPECT_EQ(featured.SimilarityDeltaAdd({0.3, -0.2}), 0.0);
+  EXPECT_EQ(featured.SimilarityDeltaAdd({0.3, -0.2}),
+            fresh_featured.SimilarityDeltaAdd({0.3, -0.2}));
 }
 
 TEST(BucketStatsTest, EstimationDeltaLowerBound) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "artifact_test_util.h"
 #include "common/random.h"
 #include "common/span.h"
 #include "core/adaptive_estimator.h"
@@ -284,8 +285,9 @@ TEST(EstimateBatchTest, MappedCountMinViewMatchesScalarAndOwned) {
   const std::string path =
       ::testing::TempDir() + "/estimate_batch_cms.bin";
   ASSERT_TRUE(io::SaveSketchSnapshot(path, cms).ok());
-  auto view = io::MappedCountMinView::Open(path);
-  ASSERT_TRUE(view.ok());
+  auto view = io::testutil::OpenArtifactAs<io::MappedCountMinView>(
+      path, /*use_mmap=*/true);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
 
   const std::vector<uint64_t> queries = MakeKeys(997, 44, 1000);
   std::vector<uint64_t> batch(queries.size());
@@ -312,8 +314,9 @@ TEST(EstimateBatchTest, MappedEstimatorViewMatchesScalarAndOwned) {
       ::testing::TempDir() + "/estimate_batch_bundle.bin";
   ASSERT_TRUE(
       io::SaveModelBundle(path, bundle, io::SnapshotFormat::kBinary).ok());
-  auto view = io::MappedEstimatorView::Open(path);
-  ASSERT_TRUE(view.ok());
+  auto view = io::testutil::OpenArtifactAs<io::MappedEstimatorView>(
+      path, /*use_mmap=*/true);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
 
   const std::vector<uint64_t> queries = MakeKeys(997, 45, 2500);
   std::vector<double> batch(queries.size());

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "artifact_test_util.h"
 #include "common/random.h"
 #include "common/span.h"
 #include "hashing/hash_functions.h"
@@ -399,8 +400,9 @@ TEST(MappedViewDifferential, MmapBatchMatchesSketchOnEveryTier) {
   const std::string path =
       ::testing::TempDir() + "/kernel_differential_cms.snapshot";
   ASSERT_TRUE(io::SaveSketchSnapshot(path, sketch).ok());
-  auto view = io::MappedCountMinView::Open(path);
-  ASSERT_TRUE(view.ok());
+  auto view = io::testutil::OpenArtifactAs<io::MappedCountMinView>(
+      path, /*use_mmap=*/true);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
   for (const size_t n : kBatchSizes) {
     std::vector<uint64_t> keys = RandomKeys(n, rng);
     for (size_t i = 0; i < n; i += 3) keys[i] = trace[i % trace.size()];

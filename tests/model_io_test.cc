@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "artifact_test_util.h"
 #include "core/opt_hash_estimator.h"
 #include "io/model_io.h"
 
@@ -91,11 +92,15 @@ TEST_P(ModelIoFormatSweep, BinaryRoundTripAnswersIdentically) {
   // A binary bundle is a two-section container: featurizer + estimator
   // (the classifier rides inside the estimator payload, not as its own
   // section) — pinned so a layout change is a deliberate act.
-  auto sections = PeekSectionTypes(path);
-  ASSERT_TRUE(sections.ok()) << sections.status().ToString();
-  EXPECT_EQ(sections.value(),
-            (std::vector<SectionType>{SectionType::kFeaturizer,
-                                      SectionType::kOptHashEstimator}));
+  auto reader = SnapshotReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<SectionType> sections;
+  for (const SnapshotSection& section : reader.value().view().sections()) {
+    sections.push_back(section.type);
+  }
+  EXPECT_EQ(sections, (std::vector<SectionType>{
+                          SectionType::kFeaturizer,
+                          SectionType::kOptHashEstimator}));
   auto loaded = LoadModelBundle(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectSameAnswers(bundle, loaded.value());
@@ -409,7 +414,8 @@ TEST(MappedEstimatorViewTest, StoredIdQueriesMatchFullLoad) {
   const std::string path = ::testing::TempDir() + "/model_io_mapped.bin";
   ASSERT_TRUE(SaveModelBundle(path, bundle, SnapshotFormat::kBinary).ok());
 
-  auto view = MappedEstimatorView::Open(path);
+  auto view = testutil::OpenArtifactAs<MappedEstimatorView>(path,
+                                                           /*use_mmap=*/true);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view.value().num_buckets(), bundle.estimator->num_buckets());
   EXPECT_EQ(view.value().num_stored_ids(),
@@ -431,13 +437,17 @@ TEST(MappedEstimatorViewTest, RejectsTextBundlesAndSketchSnapshots) {
   const ModelBundle bundle = TrainedBundle(core::ClassifierKind::kNone, 26);
   const std::string text_path = ::testing::TempDir() + "/model_io_v_t.txt";
   ASSERT_TRUE(SaveModelBundle(text_path, bundle, SnapshotFormat::kText).ok());
-  EXPECT_FALSE(MappedEstimatorView::Open(text_path).ok());
+  EXPECT_FALSE(MappedSnapshot::Open(text_path).ok());
 
   SnapshotWriter writer;
   writer.AddSection(SectionType::kMisraGries, {0, 0, 0, 0});
   const std::string sketch_path = ::testing::TempDir() + "/model_io_v_s.bin";
   ASSERT_TRUE(writer.WriteToFile(sketch_path).ok());
-  EXPECT_FALSE(MappedEstimatorView::Open(sketch_path).ok());
+  auto mapping = MappedSnapshot::Open(sketch_path);
+  ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+  EXPECT_FALSE(
+      MappedEstimatorView::FromMapping(std::move(mapping).value(), sketch_path)
+          .ok());
 }
 
 }  // namespace

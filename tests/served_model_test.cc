@@ -3,12 +3,15 @@
 // bundles, each opened with and without mmap. Only plain count-min
 // checkpoints and binary bundles map; AMS is refused; every other open is
 // a full load. Every served answer equals the object the file was
-// written from.
+// written from. A bundle with a classifier is the exception: the two open
+// modes answer a learned-table miss by different rules, which the rf case
+// at the end pins.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/model_io.h"
@@ -155,6 +158,67 @@ TEST(OpenServedModelTest, EveryArtifactKindWithAndWithoutMmap) {
       std::vector<double> answers(keys.size());
       model.EstimateBatch(*context, keys, answers);
       EXPECT_EQ(answers, artifact.expected);
+    }
+  }
+}
+
+TEST(OpenServedModelTest, RfBundleMissRuleFollowsTheOpenMode) {
+  // Today's key-only miss rule, pinned so that choosing one rule (ROADMAP
+  // item 2) changes this test on purpose. The full load answers a miss
+  // from the blank-payload bucket, like `opthash_cli query` on a
+  // blank-text row. The mapped view has no classifier and answers 0, like
+  // `opthash_cli restore` with or without --mmap.
+  io::ModelBundle bundle;
+  bundle.featurizer = stream::BagOfWordsFeaturizer(32);
+  std::vector<std::pair<std::string, double>> corpus;
+  for (size_t i = 0; i < 150; ++i) {
+    corpus.push_back({"item word" + std::to_string(i % 11),
+                      (i % 7 == 0) ? 90.0 + i : 2.0});
+  }
+  bundle.featurizer.Fit(corpus);
+  core::OptHashConfig config;
+  config.total_buckets = 200;
+  config.id_ratio = 0.5;
+  config.solver = core::SolverKind::kDp;
+  config.classifier = core::ClassifierKind::kRandomForest;
+  config.rf.num_trees = 10;
+  std::vector<core::PrefixElement> prefix;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    prefix.push_back({.id = 100 + i,
+                      .frequency = corpus[i].second,
+                      .features = bundle.featurizer.Featurize(
+                          corpus[i].first)});
+  }
+  auto trained = core::OptHashEstimator::Train(config, prefix);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  bundle.estimator = std::move(trained).value();
+  const std::string path = PathFor("rf-bundle");
+  ASSERT_TRUE(
+      io::SaveModelBundle(path, bundle, io::SnapshotFormat::kBinary).ok());
+
+  std::vector<uint64_t> keys;
+  for (uint64_t id = 90; id < 280; ++id) keys.push_back(id);
+  const std::vector<double> blank = bundle.featurizer.Featurize("");
+  size_t split_misses = 0;
+  for (const uint64_t id : keys) {
+    split_misses += bundle.estimator->table().Find(id) < 0 &&
+                    bundle.estimator->Estimate({id, &blank}) !=
+                        bundle.estimator->Estimate({id, nullptr});
+  }
+  ASSERT_GT(split_misses, 0u) << "no miss tells the two rules apart";
+  for (const bool use_mmap : {false, true}) {
+    SCOPED_TRACE(use_mmap ? "mmap" : "full load");
+    auto opened = OpenServedModel(path, use_mmap);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened.value().mmap_used, use_mmap);
+    const ServedModel& model = *opened.value().model;
+    auto context = model.NewQueryContext();
+    std::vector<double> answers(keys.size());
+    model.EstimateBatch(*context, keys, answers);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const stream::StreamItem item{keys[i], use_mmap ? nullptr : &blank};
+      EXPECT_EQ(answers[i], bundle.estimator->Estimate(item))
+          << "id " << keys[i];
     }
   }
 }

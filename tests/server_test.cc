@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "artifact_test_util.h"
 #include "common/random.h"
 #include "core/opt_hash_estimator.h"
 #include "io/model_io.h"
@@ -461,7 +462,7 @@ TEST(ServerTest, SnapshotUnderLoadRestoresConsistentCounts) {
   ASSERT_TRUE(rotated.ok());
   ASSERT_GE(rotated.value().size(), 2u);
   for (const auto& [sequence, name] : rotated.value()) {
-    auto restored = io::LoadSketchSnapshot<sketch::CountMinSketch>(
+    auto restored = io::testutil::OpenArtifactAs<sketch::CountMinSketch>(
         rotation.dir + "/" + name);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     const uint64_t total = restored.value().total_count();

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "artifact_test_util.h"
 #include "common/random.h"
 #include "io/sketch_snapshot.h"
 
@@ -161,8 +162,8 @@ TEST(SketchSnapshotTest, CheckpointResumeMatchesUnbrokenIngestion) {
   const std::string path =
       ::testing::TempDir() + "/sketch_snapshot_resume.bin";
   ASSERT_TRUE(SaveSketchSnapshot(path, before).ok());
-  auto resumed = LoadSketchSnapshot<sketch::CountMinSketch>(path);
-  ASSERT_TRUE(resumed.ok());
+  auto resumed = testutil::OpenArtifactAs<sketch::CountMinSketch>(path);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   resumed.value().UpdateBatch(second);
   for (uint64_t key = 0; key < 300; ++key) {
     EXPECT_EQ(resumed.value().Estimate(key), unbroken.Estimate(key)) << key;
@@ -174,12 +175,23 @@ TEST(SketchSnapshotTest, LoadRejectsWrongSketchKind) {
   sketch.Update(1, 5);
   const std::string path = ::testing::TempDir() + "/sketch_snapshot_mg.bin";
   ASSERT_TRUE(SaveSketchSnapshot(path, sketch).ok());
-  EXPECT_FALSE(LoadSketchSnapshot<sketch::CountMinSketch>(path).ok());
-  EXPECT_TRUE(LoadSketchSnapshot<sketch::MisraGries>(path).ok());
-  auto sections = PeekSectionTypes(path);
-  ASSERT_TRUE(sections.ok());
-  ASSERT_EQ(sections.value().size(), 1u);
-  EXPECT_EQ(sections.value().front(), SectionType::kMisraGries);
+  // The opener hands the file over as the kind it holds, mapped or not
+  // (misra-gries has no mapped view), never as a count-min.
+  for (const bool use_mmap : {false, true}) {
+    EXPECT_TRUE(
+        testutil::OpenArtifactAs<sketch::MisraGries>(path, use_mmap).ok());
+    EXPECT_FALSE(
+        testutil::OpenArtifactAs<sketch::CountMinSketch>(path, use_mmap).ok());
+  }
+  auto mapping = MappedSnapshot::Open(path);
+  ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+  ASSERT_EQ(mapping.value().view().sections().size(), 1u);
+  EXPECT_EQ(mapping.value().view().sections().front().type,
+            SectionType::kMisraGries);
+  auto view = MappedCountMinView::FromMapping(std::move(mapping).value(), path);
+  ASSERT_FALSE(view.ok());
+  EXPECT_NE(view.status().message().find("count-min"), std::string::npos)
+      << view.status().ToString();
 }
 
 TEST(SketchSnapshotTest, CorruptPayloadsRejectedNotCrashing) {
@@ -234,7 +246,8 @@ TEST(MappedCountMinViewTest, QueriesWithoutFullDeserialization) {
   const std::string path = ::testing::TempDir() + "/sketch_snapshot_map.bin";
   ASSERT_TRUE(SaveSketchSnapshot(path, sketch).ok());
 
-  auto view = MappedCountMinView::Open(path);
+  auto view = testutil::OpenArtifactAs<MappedCountMinView>(path,
+                                                          /*use_mmap=*/true);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view.value().width(), sketch.width());
   EXPECT_EQ(view.value().depth(), sketch.depth());
@@ -249,7 +262,10 @@ TEST(MappedCountMinViewTest, RejectsNonCountMinSnapshot) {
   sketch.Update(1);
   const std::string path = ::testing::TempDir() + "/sketch_snapshot_ss.bin";
   ASSERT_TRUE(SaveSketchSnapshot(path, sketch).ok());
-  EXPECT_FALSE(MappedCountMinView::Open(path).ok());
+  auto mapping = MappedSnapshot::Open(path);
+  ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+  EXPECT_FALSE(
+      MappedCountMinView::FromMapping(std::move(mapping).value(), path).ok());
 }
 
 TEST(MappedCountMinViewTest, RejectsUnknownPayloadFlags) {
@@ -267,12 +283,13 @@ TEST(MappedCountMinViewTest, RejectsUnknownPayloadFlags) {
     file.seekp(68);
     file.put('\x02');
   }
-  auto view = MappedCountMinView::Open(path);
+  auto view = testutil::OpenArtifactAs<MappedCountMinView>(path,
+                                                          /*use_mmap=*/true);
   ASSERT_FALSE(view.ok());
   EXPECT_NE(view.status().message().find("flags"), std::string::npos);
 }
 
-TEST(MappedCountMinViewTest, VerifyFlagCatchesCorruption) {
+TEST(MappedCountMinViewTest, FullLoadRejectsCorruptionTheViewLeavesUnread) {
   sketch::CountMinSketch sketch(64, 2, 7);
   sketch.Update(3, 10);
   const std::string path =
@@ -284,7 +301,18 @@ TEST(MappedCountMinViewTest, VerifyFlagCatchesCorruption) {
     file.seekp(-1, std::ios::end);
     file.put('\x7F');
   }
-  EXPECT_FALSE(MappedCountMinView::Open(path, /*verify_crc=*/true).ok());
+  // A full load checks every payload CRC and rejects the file.
+  auto loaded = testutil::OpenArtifactAs<sketch::CountMinSketch>(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("CRC"), std::string::npos)
+      << loaded.status().ToString();
+  // The mapping checks only the header and section table, so the view
+  // opens; the payload CRC is left to VerifyPayloadCrcs(), run on demand.
+  auto mapping = MappedSnapshot::Open(path);
+  ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+  EXPECT_FALSE(mapping.value().view().VerifyPayloadCrcs().ok());
+  EXPECT_TRUE(
+      MappedCountMinView::FromMapping(std::move(mapping).value(), path).ok());
 }
 
 }  // namespace

@@ -188,12 +188,12 @@ TEST(MappedSnapshotTest, LazyOpenStillCatchesPayloadCorruptionOnVerify) {
   std::vector<uint8_t> bytes = TwoSectionWriter().Finish();
   bytes.back() ^= 0x01;  // Corrupt a payload byte, not header/table.
   WriteFile(path, bytes);
-  // Default open skips payload CRCs (zero-copy hot path)…
+  // The mapped open skips payload CRCs (zero-copy hot path)…
   auto lazy = MappedSnapshot::Open(path);
   ASSERT_TRUE(lazy.ok());
   EXPECT_FALSE(lazy.value().view().VerifyPayloadCrcs().ok());
-  // …but the eager flag rejects at open.
-  EXPECT_FALSE(MappedSnapshot::Open(path, /*verify_payload_crcs=*/true).ok());
+  // …but the owning reader verifies them and rejects at open.
+  EXPECT_FALSE(SnapshotReader::Open(path).ok());
 }
 
 TEST(MappedSnapshotTest, RejectsHeaderCorruptionEvenLazily) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "io/model_io.h"
 #include "io/sketch_snapshot.h"
 #include "io/windowed_snapshot.h"
 #include "server/client.h"
@@ -463,14 +464,17 @@ TEST(WindowedServeTest, WindowedSnapshotCrossLoadsFailWithReadableStatus) {
       ::testing::TempDir() + "/wserve_xload_plain.bin";
   ASSERT_TRUE(io::SaveSketchSnapshot(plain_path, plain).ok());
 
-  // Loading across kinds fails with a Status naming the missing section.
-  auto as_plain = io::LoadSketchSnapshot<sketch::CountMinSketch>(windowed_path);
+  // Loading across kinds fails with a Status naming what is missing:
+  // the mapped count-min view over a ring, a bundle over a checkpoint.
+  auto mapping = io::MappedSnapshot::Open(windowed_path);
+  ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+  auto as_plain = io::MappedCountMinView::FromMapping(
+      std::move(mapping).value(), windowed_path);
   ASSERT_FALSE(as_plain.ok());
   EXPECT_NE(as_plain.status().ToString().find("count-min"), std::string::npos);
-  auto as_windowed =
-      io::LoadWindowedSketchSnapshot<sketch::CountMinSketch>(plain_path);
-  ASSERT_FALSE(as_windowed.ok());
-  EXPECT_NE(as_windowed.status().ToString().find("windowed-sketch"),
+  auto as_bundle = io::LoadModelBundle(plain_path);
+  ASSERT_FALSE(as_bundle.ok());
+  EXPECT_NE(as_bundle.status().ToString().find("checkpoint"),
             std::string::npos);
 
   // The serving loader dispatches BOTH correctly — old artifacts keep

@@ -44,6 +44,12 @@ Enforced invariants:
     row. Exempt: the table itself and SectionTypeName's switch in
     src/io/snapshot.cc, which spells each section's name once.
 
+  One opener (src/io/artifact.h) — no file under src/ or tools/ may call
+    SnapshotReader::Open or MappedSnapshot::Open, except the container
+    itself (src/io/snapshot.cc) and io::VisitArtifact's open step
+    (src/io/artifact.cc). Every artifact is opened by VisitArtifact, so
+    what a file holds is decided in one place.
+
 Adding a new frame/section/flag without its paired artifacts fails this
 script with a message naming every missing piece (see
 docs/DEVELOPING.md for the add-a-frame walkthrough). Exit 0 clean,
@@ -268,6 +274,22 @@ def sketch_kind_rows():
     return rows
 
 
+def source_files(tops):
+    """(rel, text) of every .cc/.h under `tops`, comments blanked out line
+    by line so that reported line numbers stay true."""
+    for top in tops:
+        for dirpath, _, files in sorted(os.walk(os.path.join(REPO_ROOT,
+                                                             top))):
+            for name in sorted(files):
+                if not name.endswith((".cc", ".h")):
+                    continue
+                rel = os.path.relpath(os.path.join(dirpath, name),
+                                      REPO_ROOT)
+                yield rel, re.sub(r"/\*.*?\*/|//[^\n]*",
+                                  lambda m: "\n" * m.group(0).count("\n"),
+                                  read(rel), flags=re.S)
+
+
 def check_sketch_kind_dispatch(problems):
     rows = sketch_kind_rows()
     names = "|".join(re.escape(name) for name, _ in rows)
@@ -282,35 +304,38 @@ def check_sketch_kind_dispatch(problems):
         (r'[=!]=\s*"(%s)"' % names, 'comparison with kind name "%s"'),
         (r'"(%s)"\s*[=!]=' % names, 'comparison with kind name "%s"'),
     )
-    for top in ("src/server", "src/io", "tools"):
-        for dirpath, _, files in sorted(os.walk(os.path.join(REPO_ROOT,
-                                                             top))):
-            for name in sorted(files):
-                if not name.endswith((".cc", ".h")):
-                    continue
-                rel = os.path.relpath(os.path.join(dirpath, name),
-                                      REPO_ROOT)
-                if rel == "src/io/sketch_kinds.h":
-                    continue
-                # Blank comments (and an exempt function body) out line
-                # by line so reported line numbers stay true.
-                text = re.sub(r"/\*.*?\*/|//[^\n]*",
-                              lambda m: "\n" * m.group(0).count("\n"),
-                              read(rel), flags=re.S)
-                if rel == "src/io/snapshot.cc":
-                    start, end = function_body(
-                        text, r"const char\*\s*SectionTypeName\(", rel)
-                    text = (text[:start] + "\n" * text.count("\n", start, end)
-                            + text[end:])
-                for pattern, what in patterns:
-                    for match in re.finditer(pattern, text):
-                        line = text.count("\n", 0, match.start()) + 1
-                        problems.append(
-                            "%s:%d: hand-written sketch-kind dispatch (%s) "
-                            "— add a column to the sketch-kind table "
-                            "(src/io/sketch_kinds.h) and visit it with "
-                            "io::VisitSketchKind instead"
-                            % (rel, line, what % match.group(1)))
+    for rel, text in source_files(("src/server", "src/io", "tools")):
+        if rel == "src/io/sketch_kinds.h":
+            continue
+        if rel == "src/io/snapshot.cc":
+            # Blank the exempt function body out line by line too.
+            start, end = function_body(
+                text, r"const char\*\s*SectionTypeName\(", rel)
+            text = (text[:start] + "\n" * text.count("\n", start, end)
+                    + text[end:])
+        for pattern, what in patterns:
+            for match in re.finditer(pattern, text):
+                line = text.count("\n", 0, match.start()) + 1
+                problems.append(
+                    "%s:%d: hand-written sketch-kind dispatch (%s) "
+                    "— add a column to the sketch-kind table "
+                    "(src/io/sketch_kinds.h) and visit it with "
+                    "io::VisitSketchKind instead"
+                    % (rel, line, what % match.group(1)))
+
+
+def check_single_opener(problems):
+    exempt = ("src/io/snapshot.cc", "src/io/artifact.cc")
+    for rel, text in source_files(("src", "tools")):
+        if rel in exempt:
+            continue
+        for match in re.finditer(
+                r"\b(SnapshotReader|MappedSnapshot)::Open\s*\(", text):
+            line = text.count("\n", 0, match.start()) + 1
+            problems.append(
+                "%s:%d: %s::Open outside the one opener — open artifacts "
+                "with io::VisitArtifact (src/io/artifact.h)"
+                % (rel, line, match.group(1)))
 
 
 def main():
@@ -322,6 +347,7 @@ def main():
     check_tool_flags(problems)
     check_kernel_entry_points(problems)
     check_sketch_kind_dispatch(problems)
+    check_single_opener(problems)
     if problems:
         print("opthash_lint: %d invariant violation(s)\n" % len(problems))
         for p in problems:

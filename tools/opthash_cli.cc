@@ -586,8 +586,9 @@ Status PrintEstimatesBatch(const Flags& flags, size_t block_size,
   return Status::OK();
 }
 
-// Restored serving answers featureless id queries, which the learned
-// table alone resolves, owned or mapped alike.
+// `restore` answers id-only queries from the learned table alone, owned or
+// mapped alike: a table miss answers 0. `query`, and the daemon's full
+// load, route the same miss to the blank-payload bucket instead.
 Status PrintRestored(const Flags& flags, const std::string& /*in*/,
                      size_t block_size, const io::ModelBundle& bundle) {
   const core::OptHashEstimator& estimator = *bundle.estimator;
