@@ -4,15 +4,19 @@
 // over-read (ASan enforces the latter when enabled). Decoders are run
 // unconditionally, not just the one matching the type byte: type
 // confusion is a required rejection path, and each decoder owns its own
-// type check.
+// type check. A key or estimates batch that does decode must carry
+// exactly the elements the per-element little-endian loads read from its
+// body, bit for bit.
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/span.h"
 #include "common/status.h"
+#include "io/bytes.h"
 #include "server/protocol.h"
 
 namespace {
@@ -24,6 +28,28 @@ void ExpectedRejectionIsFine(const opthash::Status& status) {
   (void)status;
 }
 
+// Bytes of the type byte and u32 count ahead of a batch body.
+constexpr size_t kBatchHeader = 1 + sizeof(uint32_t);
+
+// Traps unless `values` holds count elements, the i-th equal in bits to
+// the u64 at body offset 8i.
+template <typename T>
+void CheckBatchBody(const std::vector<T>& values, const uint8_t* data,
+                    size_t size) {
+  if (size < kBatchHeader ||
+      values.size() != opthash::io::LoadLittleU32(data + 1) ||
+      size != kBatchHeader + values.size() * sizeof(uint64_t)) {
+    __builtin_trap();
+  }
+  for (size_t i = 0; i < values.size(); ++i) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &values[i], sizeof(bits));
+    if (bits != opthash::io::LoadLittleU64(data + kBatchHeader + i * 8)) {
+      __builtin_trap();
+    }
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -33,10 +59,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   auto type = PeekMessageType(payload);
 
   std::vector<uint64_t> keys;
-  ExpectedRejectionIsFine(
-      DecodeKeyRequest(payload, MessageType::kQuery, keys));
-  ExpectedRejectionIsFine(
-      DecodeKeyRequest(payload, MessageType::kIngest, keys));
+  for (const MessageType key_kind :
+       {MessageType::kQuery, MessageType::kIngest}) {
+    if (DecodeKeyRequest(payload, key_kind, keys).ok()) {
+      CheckBatchBody(keys, data, size);
+    }
+  }
   for (const MessageType empty_kind :
        {MessageType::kStats, MessageType::kPing, MessageType::kSnapshot,
         MessageType::kShutdown, MessageType::kMetrics,
@@ -45,7 +73,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
 
   std::vector<double> estimates;
-  ExpectedRejectionIsFine(DecodeEstimatesResponse(payload, estimates));
+  if (DecodeEstimatesResponse(payload, estimates).ok()) {
+    CheckBatchBody(estimates, data, size);
+  }
   if (auto ack = DecodeAckResponse(payload); ack.ok()) (void)*ack;
   if (auto stats = DecodeStatsResponse(payload); stats.ok()) {
     (void)stats.value().items_ingested;

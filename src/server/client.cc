@@ -47,7 +47,8 @@ Result<Client> Client::Connect(const std::string& target) {
 Client::Client(Client&& other) noexcept
     : fd_(other.fd_),
       request_frame_(std::move(other.request_frame_)),
-      response_payload_(std::move(other.response_payload_)) {
+      response_payload_(std::move(other.response_payload_)),
+      chunk_estimates_(std::move(other.chunk_estimates_)) {
   other.fd_ = -1;
 }
 
@@ -57,6 +58,7 @@ Client& Client::operator=(Client&& other) noexcept {
     fd_ = other.fd_;
     request_frame_ = std::move(other.request_frame_);
     response_payload_ = std::move(other.response_payload_);
+    chunk_estimates_ = std::move(other.chunk_estimates_);
     other.fd_ = -1;
   }
   return *this;
@@ -85,7 +87,6 @@ Status Client::Ping() {
 Status Client::Query(Span<const uint64_t> keys, std::vector<double>& out) {
   out.clear();
   out.reserve(keys.size());
-  std::vector<double> chunk_estimates;
   // Transparent chunking: spans beyond one frame's key capacity become
   // several requests (the encoder would otherwise trip its frame-size
   // invariant — an abort, not a Status).
@@ -95,13 +96,13 @@ Status Client::Query(Span<const uint64_t> keys, std::vector<double>& out) {
     EncodeKeyRequest(MessageType::kQuery, chunk, request_frame_);
     OPTHASH_IO_ASSIGN(payload, Call());
     OPTHASH_IO_RETURN_IF_ERROR(
-        DecodeEstimatesResponse(payload, chunk_estimates));
-    if (chunk_estimates.size() != chunk.size()) {
+        DecodeEstimatesResponse(payload, chunk_estimates_));
+    if (chunk_estimates_.size() != chunk.size()) {
       return Status::Internal(
-          "server answered " + std::to_string(chunk_estimates.size()) +
+          "server answered " + std::to_string(chunk_estimates_.size()) +
           " estimates for " + std::to_string(chunk.size()) + " keys");
     }
-    out.insert(out.end(), chunk_estimates.begin(), chunk_estimates.end());
+    out.insert(out.end(), chunk_estimates_.begin(), chunk_estimates_.end());
     if (keys.empty()) break;
   }
   return Status::OK();

@@ -87,6 +87,8 @@ class Client {
   int fd_ = -1;
   std::vector<uint8_t> request_frame_;
   std::vector<uint8_t> response_payload_;
+  /// One reply's estimates, decoded before Query appends them to `out`.
+  std::vector<double> chunk_estimates_;
 };
 
 }  // namespace opthash::server

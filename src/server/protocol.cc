@@ -35,6 +35,24 @@ void AppendDouble(std::vector<uint8_t>& out, double value) {
   AppendU64(out, bits);
 }
 
+// Appends an array of 8-byte scalars (keys, counts, estimates) in one
+// copy; only a big-endian host then swaps each element in place.
+template <typename T>
+void AppendArray(std::vector<uint8_t>& out, Span<const T> values) {
+  static_assert(sizeof(T) == sizeof(uint64_t), "8-byte wire elements");
+  const auto* bytes = reinterpret_cast<const uint8_t*>(values.data());
+  const size_t at = out.size();
+  out.insert(out.end(), bytes, bytes + values.size() * sizeof(T));
+  if (!io::HostIsLittleEndian()) {
+    for (size_t offset = at; offset < out.size(); offset += sizeof(T)) {
+      uint64_t value = 0;
+      std::memcpy(&value, &out[offset], sizeof(value));
+      value = io::ByteSwap64(value);
+      std::memcpy(&out[offset], &value, sizeof(value));
+    }
+  }
+}
+
 // Starts a frame: placeholder length prefix + message type. SealFrame
 // patches the prefix once the body is in place.
 void BeginFrame(std::vector<uint8_t>& frame, MessageType type) {
@@ -106,20 +124,7 @@ void EncodeKeyRequest(MessageType type, Span<const uint64_t> keys,
   OPTHASH_CHECK_MSG(IsKeyRequest(type), "not a key-batch request type");
   BeginFrame(frame, type);
   AppendU32(frame, static_cast<uint32_t>(keys.size()));
-  const size_t at = frame.size();
-  frame.resize(at + keys.size() * sizeof(uint64_t));
-  if (io::HostIsLittleEndian()) {
-    if (!keys.empty()) {
-      std::memcpy(frame.data() + at, keys.data(),
-                  keys.size() * sizeof(uint64_t));
-    }
-  } else {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      uint64_t value = io::ByteSwap64(keys[i]);
-      std::memcpy(frame.data() + at + i * sizeof(uint64_t), &value,
-                  sizeof(value));
-    }
-  }
+  AppendArray(frame, keys);
   SealFrame(frame);
 }
 
@@ -132,7 +137,7 @@ void EncodeEstimatesResponse(Span<const double> estimates,
                              std::vector<uint8_t>& frame) {
   BeginFrame(frame, MessageType::kEstimates);
   AppendU32(frame, static_cast<uint32_t>(estimates.size()));
-  for (double value : estimates) AppendDouble(frame, value);
+  AppendArray(frame, estimates);
   SealFrame(frame);
 }
 
@@ -210,7 +215,7 @@ void EncodeWindowStatsReply(const WindowStatsSnapshot& stats,
   AppendU64(frame, stats.items_in_current_window);
   AppendDouble(frame, stats.decay);
   AppendU32(frame, static_cast<uint32_t>(stats.window_counts.size()));
-  for (uint64_t count : stats.window_counts) AppendU64(frame, count);
+  AppendArray(frame, Span<const uint64_t>(stats.window_counts));
   SealFrame(frame);
 }
 
@@ -264,12 +269,8 @@ Status DecodeKeyRequest(Span<const uint8_t> payload, MessageType expected,
         std::to_string(count) + " keys but carries " + std::to_string(body) +
         " body bytes");
   }
-  keys.reserve(count);
-  const uint8_t* at = payload.data() + 1 + sizeof(uint32_t);
-  for (uint32_t i = 0; i < count; ++i) {
-    keys.push_back(io::LoadLittleU64(at + static_cast<size_t>(i) * 8));
-  }
-  return Status::OK();
+  io::ByteReader reader(payload.data() + 1 + sizeof(uint32_t), body);
+  return reader.ReadU64Array(keys, count);
 }
 
 Status DecodeEmptyMessage(Span<const uint8_t> payload, MessageType expected) {
@@ -304,12 +305,8 @@ Status DecodeEstimatesResponse(Span<const uint8_t> payload,
                                    " values but carries " +
                                    std::to_string(body) + " body bytes");
   }
-  estimates.reserve(count);
-  const uint8_t* at = payload.data() + 1 + sizeof(uint32_t);
-  for (uint32_t i = 0; i < count; ++i) {
-    estimates.push_back(io::LoadLittleDouble(at + static_cast<size_t>(i) * 8));
-  }
-  return Status::OK();
+  io::ByteReader reader(payload.data() + 1 + sizeof(uint32_t), body);
+  return reader.ReadDoubleArray(estimates, count);
 }
 
 Result<uint64_t> DecodeAckResponse(Span<const uint8_t> payload) {
@@ -438,12 +435,8 @@ Result<WindowStatsSnapshot> DecodeWindowStatsReply(
         "window-stats-reply declares " + std::to_string(count) +
         " windows but carries " + std::to_string(body) + " body bytes");
   }
-  stats.window_counts.reserve(count);
-  const uint8_t* counts = at + kFixed;
-  for (uint32_t i = 0; i < count; ++i) {
-    stats.window_counts.push_back(
-        io::LoadLittleU64(counts + static_cast<size_t>(i) * 8));
-  }
+  io::ByteReader reader(at + kFixed, body);
+  OPTHASH_IO_RETURN_IF_ERROR(reader.ReadU64Array(stats.window_counts, count));
   return stats;
 }
 

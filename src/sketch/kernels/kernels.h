@@ -39,11 +39,13 @@
 ///    also keeps counter tables bit-identical by construction.
 ///
 /// The `% range` step is the scalar path's bottleneck (a 64-bit hardware
-/// divide per probe). The kernels replace it with an exact
-/// multiply-shift: for divisor d and dividend n < 2^61 (every reduced
-/// hash value), q = (m*n) >> F with F = 61 + ceil(log2 d) and
-/// m = floor(2^F / d) + 1 gives q = floor(n/d) exactly — the classic
-/// Granlund-Montgomery/Lemire bound, valid here because
+/// divide per probe). A power-of-two range 2^k reduces by a mask:
+/// v mod 2^k == v & (2^k - 1) for every v, so no multiply is needed at
+/// all. Every other range uses an exact multiply-shift: for divisor d
+/// and dividend n < 2^61 (every reduced hash value), q = (m*n) >> F
+/// with F = 61 + ceil(log2 d) and m = floor(2^F / d) + 1 gives
+/// q = floor(n/d) exactly — the classic Granlund-Montgomery/Lemire
+/// bound, valid here because
 /// e*n <= d*(2^61-1) < 2^F for e = d - (2^F mod d). Exactness is what
 /// keeps vector tiers bit-identical to `LinearHash::operator()`, and is
 /// re-proven against it on random draws by the differential suite.
@@ -55,13 +57,15 @@ constexpr uint64_t kMersenne61 = (1ULL << 61) - 1;
 /// How a HashKernelParams maps the reduced value into [0, range).
 enum class ModKind : uint8_t {
   kZero = 0,      ///< range == 1: every key lands in bucket 0.
-  kMagic = 1,     ///< 2 <= range < 2^61: exact multiply-shift remainder.
+  kMagic = 1,     ///< Other 2 < range < 2^61: exact multiply-shift.
   kIdentity = 2,  ///< range >= 2^61 > max reduced value: no-op.
+  kMask = 3,      ///< range = 2^k in [2, 2^60]: value & (range - 1).
 };
 
 /// Precomputed per-hash-function constants for the kernel hash path: the
-/// LinearHash coefficients plus the exact magic-multiply replacement for
-/// `% range`. Built once per sketch level at construction time.
+/// LinearHash coefficients plus the exact mask or magic-multiply
+/// replacement for `% range`. Built once per sketch level at construction
+/// time.
 struct HashKernelParams {
   uint64_t a = 1;      ///< Multiplier in [1, 2^61-2].
   uint64_t b = 0;      ///< Offset in [0, 2^61-2].
@@ -94,14 +98,16 @@ inline uint64_t MulAddMod61(uint64_t a, uint64_t x, uint64_t b) {
   return result;
 }
 
-/// value mod range via the precomputed magic constants; exact for every
-/// value < 2^61 (see the file header for the bound).
+/// value mod range via the mask or the precomputed magic constants;
+/// exact for every value < 2^61 (see the file header for the bound).
 inline uint64_t MagicMod(const HashKernelParams& h, uint64_t value) {
   switch (h.mod) {
     case ModKind::kZero:
       return 0;
     case ModKind::kIdentity:
       return value;
+    case ModKind::kMask:
+      return value & (h.range - 1);
     case ModKind::kMagic:
       break;
   }

@@ -49,11 +49,12 @@ OPTHASH_AVX2_FN inline __m256i Mod61Vec(__m256i x) {
 //
 //   a*x = p0 + (p1 + p2)*2^32 + p3*2^64   (pK = limb cross products)
 //
-// reduced mod 2^61-1 by weight folding (2^61 = 1, 2^64 = 8), and the
-// magic-multiply quotient from an emulated 128-bit product with explicit
-// carry. All intermediate sums are bounded < 2^63 + 2^34, so nothing
-// wraps; the final residues are canonical and therefore bit-identical
-// to the scalar path.
+// reduced mod 2^61-1 by weight folding (2^61 = 1, 2^64 = 8), then
+// masked (a power-of-two range) or reduced by the magic-multiply
+// quotient from an emulated 128-bit product with explicit carry. All
+// intermediate sums are bounded < 2^63 + 2^34, so nothing wraps; the
+// final residues are canonical and therefore bit-identical to the
+// scalar path.
 OPTHASH_AVX2_FN void HashBucketsAvx2(const HashKernelParams& h,
                                      const uint64_t* keys, size_t n,
                                      uint64_t* out) {
@@ -69,6 +70,8 @@ OPTHASH_AVX2_FN void HashBucketsAvx2(const HashKernelParams& h,
   const __m256i a_hi = Splat64(h.a >> 32);
   const __m256i b = Splat64(h.b);
   const bool magic = h.mod == ModKind::kMagic;
+  const bool mask = h.mod == ModKind::kMask;
+  const __m256i low_bits = Splat64(h.range - 1);
   const __m256i m_lo = Splat64(h.magic & 0xffffffffULL);
   const __m256i m_hi = Splat64(h.magic >> 32);
   const __m256i d = Splat64(h.range);
@@ -132,6 +135,8 @@ OPTHASH_AVX2_FN void HashBucketsAvx2(const HashKernelParams& h,
                                                 d)),
               32));
       r = _mm256_sub_epi64(r, q_times_d);
+    } else if (mask) {
+      r = _mm256_and_si256(r, low_bits);
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), r);
   }

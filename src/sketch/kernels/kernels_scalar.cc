@@ -57,7 +57,10 @@ void ScatterAddSignedI64Scalar(int64_t* row, const uint64_t* idx,
     if (i + kPrefetchDistance < n) {
       PrefetchRead(row + idx[i + kPrefetchDistance]);
     }
-    row[idx[i]] += sign_bucket[i] == 0 ? -1 : 1;
+    // (all ones or 0) | 1 is -1 or +1. Written this way the compiler
+    // keeps it branch-free; a branch on a sign that is a fair coin would
+    // be mispredicted on about every other key.
+    row[idx[i]] += -static_cast<int64_t>(sign_bucket[i] == 0) | 1;
   }
 }
 
@@ -73,6 +76,9 @@ HashKernelParams HashKernelParams::From(const hashing::LinearHash& hash) {
   } else if (params.range >= (1ULL << 61)) {
     // Reduced values are < 2^61 - 1, so `% range` cannot change them.
     params.mod = ModKind::kIdentity;
+  } else if ((params.range & (params.range - 1)) == 0) {
+    // A power of two: value mod 2^k keeps the low k bits.
+    params.mod = ModKind::kMask;
   } else {
     // Exact multiply-shift: shift = 61 + ceil(log2 range) and
     // magic = floor(2^shift / range) + 1 make (magic * value) >> shift

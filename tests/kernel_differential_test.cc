@@ -87,8 +87,9 @@ std::vector<uint8_t> CounterTableBytes(const Sketch& sketch) {
 
 // hash_buckets: every tier must reproduce LinearHash bit for bit,
 // including the degenerate ranges (1 maps everything to bucket 0;
-// >= 2^61 leaves the reduced value unchanged) and the magic-multiply
-// remainder for everything in between.
+// >= 2^61 leaves the reduced value unchanged), the mask of a
+// power-of-two range (2, 64, 16384, 2^16, 2^60) and the magic-multiply
+// remainder for everything else in between.
 TEST(KernelHashBuckets, EveryTierMatchesLinearHashExactly) {
   Rng rng(101);
   const uint64_t ranges[] = {1,
@@ -98,7 +99,9 @@ TEST(KernelHashBuckets, EveryTierMatchesLinearHashExactly) {
                              64,
                              1000,
                              16384,
+                             1ULL << 16,
                              (1ULL << 32) + 7,
+                             1ULL << 60,
                              (1ULL << 61) - 3,
                              (1ULL << 61) + 9,
                              std::numeric_limits<uint64_t>::max()};
@@ -130,6 +133,41 @@ TEST(KernelHashBuckets, EveryTierMatchesLinearHashExactly) {
     }
   }
   ResetKernelTierForTest();
+}
+
+// HashKernelParams::From picks the reduction every tier then applies:
+// the mask exactly for the powers of two in [2, 2^60], the identity from
+// 2^61 up (a reduced value is below 2^61 - 1), zero at range 1 and the
+// magic multiply everywhere else.
+TEST(KernelHashParams, FromPicksMaskExactlyForPowersOfTwo) {
+  const auto mod_of = [](uint64_t range) {
+    return HashKernelParams::From(hashing::LinearHash(range, 1, 0)).mod;
+  };
+  EXPECT_EQ(mod_of(1), kernels::ModKind::kZero);
+  for (int k = 1; k <= 60; ++k) {
+    const uint64_t power = 1ULL << k;
+    EXPECT_EQ(mod_of(power), kernels::ModKind::kMask) << "2^" << k;
+    EXPECT_EQ(mod_of(power + 1), kernels::ModKind::kMagic) << "2^" << k;
+    if (k >= 2) {
+      EXPECT_EQ(mod_of(power - 1), kernels::ModKind::kMagic) << "2^" << k;
+    }
+  }
+  EXPECT_EQ(mod_of((1ULL << 61) - 1), kernels::ModKind::kMagic);
+  for (int k = 61; k <= 63; ++k) {
+    EXPECT_EQ(mod_of(1ULL << k), kernels::ModKind::kIdentity) << "2^" << k;
+    EXPECT_EQ(mod_of((1ULL << k) + 1), kernels::ModKind::kIdentity)
+        << "2^" << k;
+  }
+  EXPECT_EQ(mod_of(std::numeric_limits<uint64_t>::max()),
+            kernels::ModKind::kIdentity);
+  Rng rng(102);
+  for (int draw = 0; draw < 1000; ++draw) {
+    const uint64_t range = 2 + rng.NextBounded((1ULL << 61) - 2);
+    const bool power_of_two = (range & (range - 1)) == 0;
+    EXPECT_EQ(mod_of(range), power_of_two ? kernels::ModKind::kMask
+                                          : kernels::ModKind::kMagic)
+        << "range=" << range;
+  }
 }
 
 // min_gather_u64: unsigned min-fold over a counter row, compared against
@@ -258,9 +296,12 @@ struct Geometry {
   uint64_t seed;
 };
 
+// Power-of-two widths take the mask path, the rest the magic multiply;
+// 2^16 x 4 is the served cms_wide geometry.
 const Geometry kGeometries[] = {
-    {1, 1, 7},   {2, 3, 11},    {3, 1, 13},   {7, 5, 17},
-    {64, 4, 19}, {1000, 2, 23}, {4096, 6, 29}};
+    {1, 1, 7},     {2, 3, 11},    {3, 1, 13},
+    {7, 5, 17},    {64, 4, 19},   {1000, 2, 23},
+    {4096, 6, 29}, {65536, 4, 37}};
 
 TEST(CountMinDifferential, BatchEstimatesMatchPerKeyOnEveryTier) {
   TierGuard guard;

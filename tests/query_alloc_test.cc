@@ -17,6 +17,7 @@
 #include "common/span.h"
 #include "core/baseline_estimators.h"
 #include "core/opt_hash_estimator.h"
+#include "server/protocol.h"
 #include "sketch/count_min_sketch.h"
 #include "sketch/count_sketch.h"
 #include "stream/features.h"
@@ -191,6 +192,43 @@ TEST(QueryAllocTest, SketchBatchQueriesAreAllocationFree) {
     }
   });
   EXPECT_EQ(allocations, 0u);
+}
+
+// The wire codec of every query round trip: once the frame and array
+// vectors have grown to a batch's size, encoding and decoding the same
+// size again reuses their capacity.
+TEST(QueryAllocTest, WireCodecIsAllocationFreeWhenWarm) {
+  Rng rng(17);
+  std::vector<uint64_t> keys(512);
+  for (auto& key : keys) key = rng.NextUint64();
+  std::vector<double> estimates(keys.size());
+  for (auto& value : estimates) value = rng.NextDouble(0.0, 1e6);
+  std::vector<uint8_t> request;
+  std::vector<uint8_t> reply;
+  std::vector<uint64_t> decoded_keys;
+  std::vector<double> decoded_estimates;
+  const auto payload_of = [](const std::vector<uint8_t>& frame) {
+    return Span<const uint8_t>(frame.data() + server::kFrameHeaderSize,
+                               frame.size() - server::kFrameHeaderSize);
+  };
+  const auto round_trip = [&] {
+    server::EncodeKeyRequest(server::MessageType::kQuery, keys, request);
+    OPTHASH_CHECK(server::DecodeKeyRequest(payload_of(request),
+                                           server::MessageType::kQuery,
+                                           decoded_keys)
+                      .ok());
+    server::EncodeEstimatesResponse(estimates, reply);
+    OPTHASH_CHECK(
+        server::DecodeEstimatesResponse(payload_of(reply), decoded_estimates)
+            .ok());
+  };
+  round_trip();  // Warm-up sizes every vector.
+  const size_t allocations = AllocationsIn([&] {
+    for (int i = 0; i < 20; ++i) round_trip();
+  });
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(decoded_keys, keys);
+  EXPECT_EQ(decoded_estimates, estimates);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "server/protocol.h"
@@ -335,6 +336,52 @@ TEST(ServerProtocolTest, WindowStatsFramesGoldenBytesRoundTrip) {
   EXPECT_EQ(decoded.value().items_in_current_window, 2u);
   EXPECT_DOUBLE_EQ(decoded.value().decay, 0.5);
   EXPECT_EQ(decoded.value().window_counts, (std::vector<uint64_t>{3, 1}));
+}
+
+// The two frames every query moves, pinned byte for byte: a bulk-copy
+// codec must emit and accept exactly these images. The key block starts
+// at frame offset 9, so the decoders also read it unaligned.
+TEST(ServerProtocolTest, QueryFrameGoldenBytesRoundTrip) {
+  const std::vector<uint64_t> keys = {0x0123456789abcdefULL, 0,
+                                      0xfffffffffffffffeULL};
+  std::vector<uint8_t> frame;
+  EncodeKeyRequest(MessageType::kQuery, keys, frame);
+  EXPECT_EQ(frame, (std::vector<uint8_t>{
+                       0x1d, 0, 0, 0,                    // length prefix
+                       1,                                // kQuery
+                       3, 0, 0, 0,                       // key count
+                       0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,
+                       0, 0, 0, 0, 0, 0, 0, 0,
+                       0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}));
+  std::vector<uint64_t> decoded;
+  ASSERT_TRUE(
+      DecodeKeyRequest(PayloadOf(frame), MessageType::kQuery, decoded).ok());
+  EXPECT_EQ(decoded, keys);
+}
+
+TEST(ServerProtocolTest, EstimatesFrameGoldenBytesRoundTrip) {
+  // -0.0, the smallest subnormal and 1e300: values whose sign, exponent
+  // and low mantissa bits must all survive the wire.
+  const std::vector<double> estimates = {-0.0, 5e-324, 1e300};
+  std::vector<uint8_t> frame;
+  EncodeEstimatesResponse(estimates, frame);
+  EXPECT_EQ(frame, (std::vector<uint8_t>{
+                       0x1d, 0, 0, 0,                    // length prefix
+                       0x81,                             // kEstimates
+                       3, 0, 0, 0,                       // value count
+                       0, 0, 0, 0, 0, 0, 0, 0x80,        // -0.0
+                       1, 0, 0, 0, 0, 0, 0, 0,           // 2^-1074
+                       0x9c, 0x75, 0x00, 0x88, 0x3c, 0xe4, 0x37, 0x7e}));
+  std::vector<double> decoded;
+  ASSERT_TRUE(DecodeEstimatesResponse(PayloadOf(frame), decoded).ok());
+  ASSERT_EQ(decoded.size(), estimates.size());
+  for (size_t i = 0; i < estimates.size(); ++i) {
+    uint64_t want = 0;
+    uint64_t got = 0;
+    std::memcpy(&want, &estimates[i], sizeof(want));
+    std::memcpy(&got, &decoded[i], sizeof(got));
+    EXPECT_EQ(got, want) << "value " << i;
+  }
 }
 
 TEST(ServerProtocolTest, WindowStatsReplyHostilePayloadsRejected) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -18,12 +19,16 @@ namespace opthash::server {
 namespace {
 
 std::string FreshDir(const std::string& stem) {
-  // Pid-qualified so reruns never see a previous run's rotated files;
-  // the rotator creates the directory itself.
+  // Pid-qualified so concurrent runs never share a directory, and emptied
+  // first: ctest starts each case in its own process, so a reused pid
+  // would otherwise find an earlier run's rotated files and resume their
+  // sequence. The rotator creates the directory itself.
   static std::atomic<int> counter{0};
-  return ::testing::TempDir() + "/rotator_" + stem + "_" +
-         std::to_string(::getpid()) + "_" +
-         std::to_string(counter.fetch_add(1));
+  const std::string dir = ::testing::TempDir() + "/rotator_" + stem + "_" +
+                          std::to_string(::getpid()) + "_" +
+                          std::to_string(counter.fetch_add(1));
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
 SnapshotRotator::SaveFn WriteMarker(std::atomic<uint64_t>& saves) {
