@@ -70,7 +70,7 @@ void BucketCounters::GatherAverages(Span<const int32_t> buckets,
 }
 
 void EstimateStoredIds(const LearnedTable& table,
-                       const BucketCounters& counters,
+                       const BucketCounters& counters, int32_t miss_bucket,
                        Span<const uint64_t> ids, Span<double> out) {
   OPTHASH_CHECK_EQ(ids.size(), out.size());
   constexpr size_t kChunk = 256;
@@ -78,6 +78,9 @@ void EstimateStoredIds(const LearnedTable& table,
   for (size_t base = 0; base < ids.size(); base += kChunk) {
     const size_t chunk = std::min(kChunk, ids.size() - base);
     table.FindBatch(ids.subspan(base, chunk), Span<int32_t>(buckets, chunk));
+    for (size_t i = 0; i < chunk; ++i) {
+      buckets[i] = buckets[i] < 0 ? miss_bucket : buckets[i];
+    }
     counters.GatherAverages(Span<const int32_t>(buckets, chunk),
                             out.subspan(base, chunk));
   }

@@ -185,17 +185,13 @@ Result<OptHashEstimator> OptHashEstimator::Train(
 
 int32_t OptHashEstimator::BucketOf(const stream::StreamItem& item) const {
   const int32_t bucket = table().Find(item.id);
-  if (bucket >= 0 || item.features == nullptr) return bucket;
-  return ClassifierBucket(*item.features);
-}
-
-int32_t OptHashEstimator::ClassifierBucket(
-    const std::vector<double>& features) const {
-  if (classifier_ == nullptr) return -1;
-  const int bucket = classifier_->Predict(features);
-  OPTHASH_CHECK_GE(bucket, 0);
-  OPTHASH_CHECK_LT(static_cast<size_t>(bucket), bucket_freq_.size());
-  return bucket;
+  if (bucket >= 0 || item.features == nullptr || classifier_ == nullptr) {
+    return bucket;
+  }
+  const int predicted = classifier_->Predict(*item.features);
+  OPTHASH_CHECK_GE(predicted, 0);
+  OPTHASH_CHECK_LT(static_cast<size_t>(predicted), bucket_freq_.size());
+  return predicted;
 }
 
 void OptHashEstimator::Update(const stream::StreamItem& item) {
@@ -246,17 +242,6 @@ Result<stream::IngestStats> OptHashEstimator::Ingest(
       });
 }
 
-void OptHashEstimator::RouteTableOnly(Span<const uint64_t> ids,
-                                      OptHashQueryWorkspace& ws) const {
-  ws.buckets.resize(ids.size());
-  ws.pending.clear();
-  table().FindBatch(ids, ws.buckets);
-  if (classifier_ == nullptr) return;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (ws.buckets[i] < 0) ws.pending.push_back(i);
-  }
-}
-
 void OptHashEstimator::ClassifyPendingRows(OptHashQueryWorkspace& ws) const {
   // One batch call resolves every pending row — the classifier amortizes
   // its per-call overhead and scratch across the block.
@@ -265,15 +250,11 @@ void OptHashEstimator::ClassifyPendingRows(OptHashQueryWorkspace& ws) const {
                             Span<int>(ws.predictions.data(),
                                       ws.predictions.size()));
   for (size_t p = 0; p < ws.pending.size(); ++p) {
-    RouteToBucket(ws, ws.pending[p], ws.predictions[p]);
+    const int bucket = ws.predictions[p];
+    OPTHASH_CHECK_GE(bucket, 0);
+    OPTHASH_CHECK_LT(static_cast<size_t>(bucket), bucket_freq_.size());
+    ws.buckets[ws.pending[p]] = bucket;
   }
-}
-
-void OptHashEstimator::RouteToBucket(OptHashQueryWorkspace& ws, size_t i,
-                                     int bucket) const {
-  OPTHASH_CHECK_GE(bucket, 0);
-  OPTHASH_CHECK_LT(static_cast<size_t>(bucket), bucket_freq_.size());
-  ws.buckets[i] = bucket;
 }
 
 void OptHashEstimator::RouteBatch(Span<const stream::StreamItem> items,
@@ -340,18 +321,30 @@ size_t OptHashEstimator::MemoryBuckets() const {
   return bucket_freq_.size() + table_ids_.size();
 }
 
-Status OptHashEstimator::CheckClassifierFitsBuckets() const {
-  if (classifier_ != nullptr && classifier_->NumClasses() > num_buckets()) {
+namespace {
+constexpr const char* kEstimatorMagic = "opthash.estimator.v1";
+
+// A parsed model as the estimator holds it.
+template <typename Model>
+Result<std::unique_ptr<ml::Classifier>> Boxed(Result<Model> model) {
+  if (!model.ok()) return model.status();
+  return std::unique_ptr<ml::Classifier>(
+      std::make_unique<Model>(std::move(model).value()));
+}
+
+// Load-time guard shared by both payload encodings: the classifier's
+// labels index buckets, so it must not predict more classes than there
+// are.
+Status CheckClassifierFitsBuckets(const ml::Classifier* classifier,
+                                  uint64_t num_buckets) {
+  if (classifier != nullptr && classifier->NumClasses() > num_buckets) {
     return Status::InvalidArgument(
-        "classifier predicts " + std::to_string(classifier_->NumClasses()) +
-        " classes but the estimator has " + std::to_string(num_buckets()) +
+        "classifier predicts " + std::to_string(classifier->NumClasses()) +
+        " classes but the estimator has " + std::to_string(num_buckets) +
         " buckets");
   }
   return Status::OK();
 }
-
-namespace {
-constexpr const char* kEstimatorMagic = "opthash.estimator.v1";
 
 // Both loaders hold a table to what LearnedTable searches by: strictly
 // ascending ids, each mapped to one of the estimator's buckets.
@@ -443,33 +436,28 @@ Result<OptHashEstimator> OptHashEstimator::Deserialize(
   OPTHASH_IO_RETURN_IF_ERROR(CheckTableColumns(
       estimator.table_ids_, estimator.table_buckets_, num_buckets));
 
+  Result<std::unique_ptr<ml::Classifier>> classifier{nullptr};
   if (classifier_name == ClassifierKindName(ClassifierKind::kNone)) {
     estimator.classifier_kind_ = ClassifierKind::kNone;
   } else if (classifier_name ==
              ClassifierKindName(ClassifierKind::kLogisticRegression)) {
-    auto model = ml::LogisticRegression::DeserializeFrom(in);
-    if (!model.ok()) return model.status();
-    estimator.classifier_ =
-        std::make_unique<ml::LogisticRegression>(std::move(model).value());
+    classifier = Boxed(ml::LogisticRegression::DeserializeFrom(in));
     estimator.classifier_kind_ = ClassifierKind::kLogisticRegression;
   } else if (classifier_name == ClassifierKindName(ClassifierKind::kCart)) {
-    auto model = ml::DecisionTree::DeserializeFrom(in);
-    if (!model.ok()) return model.status();
-    estimator.classifier_ =
-        std::make_unique<ml::DecisionTree>(std::move(model).value());
+    classifier = Boxed(ml::DecisionTree::DeserializeFrom(in));
     estimator.classifier_kind_ = ClassifierKind::kCart;
   } else if (classifier_name ==
              ClassifierKindName(ClassifierKind::kRandomForest)) {
-    auto model = ml::RandomForest::DeserializeFrom(in);
-    if (!model.ok()) return model.status();
-    estimator.classifier_ =
-        std::make_unique<ml::RandomForest>(std::move(model).value());
+    classifier = Boxed(ml::RandomForest::DeserializeFrom(in));
     estimator.classifier_kind_ = ClassifierKind::kRandomForest;
   } else {
     return Status::InvalidArgument("unknown classifier kind: " +
                                    classifier_name);
   }
-  OPTHASH_IO_RETURN_IF_ERROR(estimator.CheckClassifierFitsBuckets());
+  if (!classifier.ok()) return classifier.status();
+  estimator.classifier_ = std::move(classifier).value();
+  OPTHASH_IO_RETURN_IF_ERROR(
+      CheckClassifierFitsBuckets(estimator.classifier_.get(), num_buckets));
 
   estimator.training_info_.num_sampled_elements = table_size;
   estimator.training_info_.num_buckets = num_buckets;
@@ -513,6 +501,41 @@ void OptHashEstimator::SerializeBinary(io::ByteWriter& out) const {
   out.WriteBytes(classifier.bytes().data(), classifier.size());
 }
 
+Result<std::unique_ptr<ml::Classifier>> DeserializeClassifierBinary(
+    uint32_t kind, uint64_t num_buckets, io::ByteReader& in) {
+  if (kind > static_cast<uint32_t>(ClassifierKind::kRandomForest)) {
+    return Status::InvalidArgument("unknown classifier kind " +
+                                   std::to_string(kind));
+  }
+  OPTHASH_IO_ASSIGN(size, in.ReadU64());
+  auto blob = in.ReadSpan(size);
+  if (!blob.ok()) return blob.status();
+  io::ByteReader payload(blob.value());
+  Result<std::unique_ptr<ml::Classifier>> classifier{nullptr};
+  switch (static_cast<ClassifierKind>(kind)) {
+    case ClassifierKind::kNone:
+      if (size != 0) {
+        return Status::InvalidArgument(
+            "classifier payload present without a classifier");
+      }
+      break;
+    case ClassifierKind::kLogisticRegression:
+      classifier = Boxed(ml::LogisticRegression::DeserializeBinary(payload));
+      break;
+    case ClassifierKind::kCart:
+      classifier = Boxed(ml::DecisionTree::DeserializeBinary(payload));
+      break;
+    case ClassifierKind::kRandomForest:
+      classifier = Boxed(ml::RandomForest::DeserializeBinary(payload));
+      break;
+  }
+  if (!classifier.ok()) return classifier.status();
+  OPTHASH_IO_RETURN_IF_ERROR(payload.ExpectFullyConsumed());
+  OPTHASH_IO_RETURN_IF_ERROR(
+      CheckClassifierFitsBuckets(classifier.value().get(), num_buckets));
+  return classifier;
+}
+
 Result<OptHashEstimator> OptHashEstimator::DeserializeBinary(
     io::ByteReader& in) {
   OPTHASH_IO_ASSIGN(version, in.ReadU32());
@@ -520,12 +543,7 @@ Result<OptHashEstimator> OptHashEstimator::DeserializeBinary(
     return Status::InvalidArgument(
         "unsupported estimator payload version " + std::to_string(version));
   }
-  OPTHASH_IO_ASSIGN(kind_raw, in.ReadU32());
-  if (kind_raw > static_cast<uint32_t>(ClassifierKind::kRandomForest)) {
-    return Status::InvalidArgument("unknown classifier kind " +
-                                   std::to_string(kind_raw));
-  }
-  const auto kind = static_cast<ClassifierKind>(kind_raw);
+  OPTHASH_IO_ASSIGN(kind, in.ReadU32());
   OPTHASH_IO_ASSIGN(num_buckets, in.ReadU64());
   OPTHASH_IO_ASSIGN(table_size, in.ReadU64());
   if (num_buckets == 0) {
@@ -546,36 +564,10 @@ Result<OptHashEstimator> OptHashEstimator::DeserializeBinary(
   OPTHASH_IO_RETURN_IF_ERROR(in.AlignTo(8));
   OPTHASH_IO_RETURN_IF_ERROR(CheckTableColumns(
       estimator.table_ids_, estimator.table_buckets_, num_buckets));
-  OPTHASH_IO_ASSIGN(classifier_size, in.ReadU64());
-  auto blob = in.ReadSpan(classifier_size);
-  if (!blob.ok()) return blob.status();
-  io::ByteReader classifier(blob.value());
-  if (kind == ClassifierKind::kNone) {
-    if (classifier_size != 0) {
-      return Status::InvalidArgument(
-          "classifier payload present without a classifier");
-    }
-  } else if (kind == ClassifierKind::kLogisticRegression) {
-    auto model = ml::LogisticRegression::DeserializeBinary(classifier);
-    if (!model.ok()) return model.status();
-    estimator.classifier_ =
-        std::make_unique<ml::LogisticRegression>(std::move(model).value());
-  } else if (kind == ClassifierKind::kCart) {
-    auto model = ml::DecisionTree::DeserializeBinary(classifier);
-    if (!model.ok()) return model.status();
-    estimator.classifier_ =
-        std::make_unique<ml::DecisionTree>(std::move(model).value());
-  } else {
-    auto model = ml::RandomForest::DeserializeBinary(classifier);
-    if (!model.ok()) return model.status();
-    estimator.classifier_ =
-        std::make_unique<ml::RandomForest>(std::move(model).value());
-  }
-  if (kind != ClassifierKind::kNone) {
-    OPTHASH_IO_RETURN_IF_ERROR(classifier.ExpectFullyConsumed());
-  }
-  OPTHASH_IO_RETURN_IF_ERROR(estimator.CheckClassifierFitsBuckets());
-  estimator.classifier_kind_ = kind;
+  auto classifier = DeserializeClassifierBinary(kind, num_buckets, in);
+  if (!classifier.ok()) return classifier.status();
+  estimator.classifier_ = std::move(classifier).value();
+  estimator.classifier_kind_ = static_cast<ClassifierKind>(kind);
   estimator.training_info_.num_sampled_elements = table_size;
   estimator.training_info_.num_buckets = num_buckets;
   return estimator;

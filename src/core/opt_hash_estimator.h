@@ -161,68 +161,13 @@ class OptHashEstimator : public FrequencyEstimator {
   void EstimateBatch(Span<const stream::StreamItem> items, Span<double> out,
                      OptHashQueryWorkspace& ws) const;
 
-  /// What a `route_miss` callback of EstimateBatchLazy returns for a miss
-  /// only its features can route.
-  static constexpr int32_t kClassifyMiss = -2;
-
-  /// Batched point queries with *lazy* featurization, for callers that
-  /// derive features from query payloads on demand (io::BundleQueryEngine
-  /// featurizes query text). The learned table routes every id first, so
-  /// each table probe happens once and resolved ids never pay
-  /// featurization. Each id the table cannot resolve is then routed on
-  /// its own row by `route_miss(i)`, invoked exactly once per such id:
-  ///   - a bucket in [0, num_buckets()) is taken as is — the caller
-  ///     already knows where the query classifies (BundleQueryEngine's
-  ///     precomputed blank-payload bucket);
-  ///   - kClassifyMiss defers the row to the classifier:
-  ///     `fill_features(i, row)` writes that query's `feature_dim` doubles
-  ///     straight into the workspace's gathered feature matrix, and all
-  ///     deferred rows are classified in one PredictBatch call.
-  /// Without a classifier, unresolved ids estimate 0 and neither callback
-  /// is invoked. Answers are element-wise identical to EstimateBatch over
-  /// items carrying the same features, provided every bucket `route_miss`
-  /// returns is ClassifierBucket of that query's features.
-  template <typename RouteMissFn, typename FeatureFn>
-  void EstimateBatchLazy(Span<const uint64_t> ids, size_t feature_dim,
-                         Span<double> out, OptHashQueryWorkspace& ws,
-                         RouteMissFn route_miss,
-                         FeatureFn fill_features) const {
-    OPTHASH_CHECK_EQ(ids.size(), out.size());
-    RouteTableOnly(ids, ws);
-    // Misses the caller routes take their bucket now; the rest stay in
-    // ws.pending, compacted in place, for the featurize-and-classify pass.
-    size_t deferred = 0;
-    for (size_t p = 0; p < ws.pending.size(); ++p) {
-      const size_t i = ws.pending[p];
-      const int32_t bucket = route_miss(i);
-      if (bucket == kClassifyMiss) {
-        ws.pending[deferred++] = i;
-      } else {
-        RouteToBucket(ws, i, bucket);
-      }
-    }
-    ws.pending.resize(deferred);
-    if (!ws.pending.empty()) {
-      ws.features.Reshape(ws.pending.size(), feature_dim);
-      for (size_t p = 0; p < ws.pending.size(); ++p) {
-        fill_features(ws.pending[p],
-                      Span<double>(ws.features.Row(p), feature_dim));
-      }
-      ClassifyPendingRows(ws);
-    }
-    bucket_counters().GatherAverages(ws.buckets, out);
-  }
-
   size_t MemoryBuckets() const override;
   const char* Name() const override { return "opt-hash"; }
 
   /// Bucket the item routes to: hash table first, classifier fallback;
-  /// -1 when neither applies (no classifier and unseen ID).
+  /// -1 when neither applies (no classifier, or an unseen ID queried
+  /// without features).
   int32_t BucketOf(const stream::StreamItem& item) const;
-
-  /// Bucket the classifier assigns to a feature row — the route of an
-  /// unseen id carrying these features; -1 without a classifier.
-  int32_t ClassifierBucket(const std::vector<double>& features) const;
 
   /// Pass 1 of the batched query path: fills ws.buckets (resized to
   /// items.size()) with BucketOf of every item, batching the table probes
@@ -230,6 +175,14 @@ class OptHashEstimator : public FrequencyEstimator {
   /// shares the routing machinery.
   void RouteBatch(Span<const stream::StreamItem> items,
                   OptHashQueryWorkspace& ws) const;
+
+  /// The classifier stage of RouteBatch: ws.features holds one row per
+  /// index in ws.pending, and one PredictBatch call sets
+  /// ws.buckets[ws.pending[p]] to row p's bucket, checked to name one of
+  /// this estimator's buckets. ws.buckets must cover every pending index.
+  /// Exposed so io::BundleQueryEngine classifies the rows it featurizes
+  /// in place. Requires a classifier.
+  void ClassifyPendingRows(OptHashQueryWorkspace& ws) const;
 
   size_t num_buckets() const { return bucket_freq_.size(); }
   size_t num_stored_ids() const { return table_ids_.size(); }
@@ -277,22 +230,6 @@ class OptHashEstimator : public FrequencyEstimator {
  private:
   OptHashEstimator() = default;
 
-  // Shared stages of the batched query paths (see EstimateBatch docs).
-  // RouteTableOnly probes the table for every id, recording classifier
-  // candidates in ws.pending (only when a classifier exists);
-  // ClassifyPendingRows expects ws.features filled with one row per
-  // pending index and resolves them through one PredictBatch call;
-  // RouteToBucket records a classifier-side bucket for item i after
-  // checking it names one of this estimator's buckets.
-  void RouteTableOnly(Span<const uint64_t> ids,
-                      OptHashQueryWorkspace& ws) const;
-  void ClassifyPendingRows(OptHashQueryWorkspace& ws) const;
-  void RouteToBucket(OptHashQueryWorkspace& ws, size_t i, int bucket) const;
-
-  // Load-time guard shared by both deserializers: the classifier's labels
-  // index buckets, so it must not predict more classes than there are.
-  Status CheckClassifierFitsBuckets() const;
-
   // The learned table's columns: ids strictly ascending, buckets parallel.
   std::vector<uint64_t> table_ids_;
   std::vector<int32_t> table_buckets_;
@@ -302,6 +239,16 @@ class OptHashEstimator : public FrequencyEstimator {
   ClassifierKind classifier_kind_ = ClassifierKind::kNone;
   OptHashTrainingInfo training_info_;
 };
+
+/// Parses the classifier that ends an estimator payload (docs/FORMATS.md
+/// §3.7): a u64 byte length, then exactly that many bytes of the binary
+/// payload of the model `kind` names (the payload header's raw classifier
+/// field). nullptr for kNone, whose length must be 0. An unknown kind, a
+/// malformed model, or one predicting more classes than `num_buckets` is
+/// InvalidArgument. OptHashEstimator::DeserializeBinary and the mapped
+/// bundle open (io::MappedEstimatorView) both parse the classifier here.
+Result<std::unique_ptr<ml::Classifier>> DeserializeClassifierBinary(
+    uint32_t kind, uint64_t num_buckets, io::ByteReader& in);
 
 }  // namespace opthash::core
 

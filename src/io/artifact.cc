@@ -28,45 +28,16 @@ Result<ModelBundle> LoadTextBundle(const std::string& path) {
 
 Result<ModelBundle> LoadBinaryBundle(const SnapshotView& view,
                                      const std::string& path) {
-  const SnapshotSection* featurizer_section =
-      view.Find(SectionType::kFeaturizer);
-  const SnapshotSection* estimator_section =
-      view.Find(SectionType::kOptHashEstimator);
-  if (featurizer_section == nullptr || estimator_section == nullptr) {
-    return Status::InvalidArgument(
-        path +
-        " is a snapshot but not a model bundle (featurizer + "
-        "estimator sections required)");
-  }
-  ByteReader featurizer_in(featurizer_section->payload);
-  auto featurizer =
-      stream::BagOfWordsFeaturizer::DeserializeBinary(featurizer_in);
-  if (!featurizer.ok()) return featurizer.status();
-  OPTHASH_IO_RETURN_IF_ERROR(featurizer_in.ExpectFullyConsumed());
-  ByteReader estimator_in(estimator_section->payload);
+  auto sections = internal::ReadBinaryBundleSections(view, path);
+  if (!sections.ok()) return sections.status();
+  ByteReader estimator_in(sections.value().estimator);
   auto estimator = core::OptHashEstimator::DeserializeBinary(estimator_in);
   if (!estimator.ok()) return estimator.status();
   OPTHASH_IO_RETURN_IF_ERROR(estimator_in.ExpectFullyConsumed());
   ModelBundle bundle;
-  bundle.featurizer = std::move(featurizer).value();
+  bundle.featurizer = std::move(sections.value().featurizer);
   bundle.estimator = std::move(estimator).value();
   return bundle;
-}
-
-// The classifier reads the featurizer's rows; a mismatch would abort the
-// first query that needs it (a BundleQueryEngine classifies the blank
-// payload as soon as it is built), so it is a load error.
-Status CheckClassifierFits(const ModelBundle& bundle,
-                           const std::string& path) {
-  const ml::Classifier* classifier = bundle.estimator->classifier();
-  const size_t dim = bundle.featurizer.FeatureDim();
-  if (classifier != nullptr && classifier->NumFeatures() != dim) {
-    return Status::InvalidArgument(
-        path + ": classifier reads " +
-        std::to_string(classifier->NumFeatures()) +
-        " features but the featurizer writes " + std::to_string(dim));
-  }
-  return Status::OK();
 }
 
 // A single section of a table kind or a windowed ring.
@@ -88,7 +59,9 @@ Result<OpenedArtifact> OpenArtifact(const std::string& path, bool use_mmap) {
   if (format.value() == SnapshotFormat::kText) {
     auto bundle = LoadTextBundle(path);
     if (!bundle.ok()) return bundle.status();
-    OPTHASH_IO_RETURN_IF_ERROR(CheckClassifierFits(bundle.value(), path));
+    OPTHASH_IO_RETURN_IF_ERROR(CheckClassifierFits(
+        bundle.value().featurizer, bundle.value().estimator->classifier(),
+        path));
     opened.bundle = std::move(bundle).value();
     return opened;
   }
@@ -123,7 +96,9 @@ Result<OpenedArtifact> OpenArtifact(const std::string& path, bool use_mmap) {
   } else {
     auto bundle = LoadBinaryBundle(view, path);
     if (!bundle.ok()) return bundle.status();
-    OPTHASH_IO_RETURN_IF_ERROR(CheckClassifierFits(bundle.value(), path));
+    OPTHASH_IO_RETURN_IF_ERROR(CheckClassifierFits(
+        bundle.value().featurizer, bundle.value().estimator->classifier(),
+        path));
     opened.bundle = std::move(bundle).value();
   }
   // The bundle owns (or maps) everything it needs; drop the file bytes.

@@ -61,25 +61,50 @@ Result<SnapshotFormat> DetectFileFormat(const std::string& path);
 /// checkpoint is InvalidArgument too.
 Result<ModelBundle> LoadModelBundle(const std::string& path);
 
-/// \brief Batched query pipeline over a loaded model bundle — the serving
-/// read side of the paper's workflow, shared by `opthash_cli query` and
-/// the daemon's bundle adapter (key-only queries are blank-text records).
+/// The bucket a key-only query that misses the learned table answers
+/// from, in every verb and open mode. The wire protocol carries keys
+/// only, so such a query is a blank-text one: its answer is the bucket
+/// `classifier` assigns the blank payload, whose feature row is all
+/// zeros, or -1 without a classifier, which answers 0. A constant of the
+/// bundle: every reader computes it once, when it opens the bundle, and
+/// answers key-only queries through core::EstimateStoredIds.
+int32_t MissBucket(const stream::BagOfWordsFeaturizer& featurizer,
+                   const ml::Classifier* classifier);
+
+namespace internal {
+
+/// A binary bundle's featurizer, parsed in full, and the payload of its
+/// estimator section: where both open modes start. InvalidArgument naming
+/// `path` when a section is missing or the featurizer is malformed.
+struct BinaryBundleSections {
+  stream::BagOfWordsFeaturizer featurizer;
+  Span<const uint8_t> estimator;
+};
+Result<BinaryBundleSections> ReadBinaryBundleSections(
+    const SnapshotView& view, const std::string& path);
+
+/// InvalidArgument naming `path` unless `classifier` (nullptr: none)
+/// reads the rows `featurizer` writes. Every open mode checks it, so a
+/// mismatch is a load error, never an abort at query time.
+Status CheckClassifierFits(const stream::BagOfWordsFeaturizer& featurizer,
+                           const ml::Classifier* classifier,
+                           const std::string& path);
+
+}  // namespace internal
+
+/// \brief Batched query pipeline over a loaded model bundle: the read
+/// side of the offline `query` verb.
 ///
-/// EstimateBlock answers one block of (id, text) queries through the
-/// estimator's lazy batch path (OptHashEstimator::EstimateBatchLazy),
-/// routing each row on its own:
-///   - a table hit takes its stored bucket and is never featurized (a
-///     hit wins before the classifier is consulted, so its features
-///     would be dead work);
-///   - a blank-text miss takes the blank-payload bucket. The blank
-///     payload featurizes to the same row on every call, so the
-///     constructor classifies it once, and blank misses never featurize
-///     or run the classifier;
-///   - a texted miss featurizes straight into the workspace's feature
-///     matrix, and the block's texted misses are classified in one batch.
-/// All scratch is reused across blocks, so a warm engine performs no
-/// heap allocation per block. Answers are element-wise identical to
-/// featurizing every query and calling Estimate one by one.
+/// EstimateBlock answers one block of (id, text) queries. Every row is
+/// first answered as a key-only query through core::EstimateStoredIds: a
+/// table hit from its stored bucket, a miss from the bundle's MissBucket,
+/// which is also the answer of a blank-text miss. Then only the texted
+/// misses are featurized, straight into the workspace's feature matrix,
+/// classified in one batch, and answered from their own buckets. A table
+/// hit wins before the classifier is consulted, so its text is never
+/// featurized. All scratch is reused across blocks, so a warm engine
+/// performs no heap allocation per block. Answers are element-wise
+/// identical to featurizing every query and calling Estimate one by one.
 ///
 /// Holds a reference to the bundle (which must outlive the engine) and
 /// mutable scratch: one engine per querying thread.
@@ -94,9 +119,7 @@ class BundleQueryEngine {
 
  private:
   const ModelBundle& bundle_;
-  // Classifier bucket of the blank payload (kClassifyMiss without a
-  // classifier, where no miss is ever routed).
-  int32_t blank_bucket_;
+  int32_t miss_bucket_;
   std::vector<uint64_t> ids_;
   core::OptHashQueryWorkspace workspace_;
 };
@@ -104,13 +127,14 @@ class BundleQueryEngine {
 /// \brief Zero-copy serving view over a *binary* model bundle.
 ///
 /// FromMapping takes a mapped snapshot, whose payload CRCs are left
-/// unchecked, and runs OptHashEstimator's own table probe and bucket
-/// gather over the payload's columns in the mapping (a big-endian host
-/// decodes them once): no table build, no counter memcpy, restart cost
-/// independent of model size. The classifier section is NOT
-/// materialized, so only stored-id queries are answerable; unseen-element
-/// (classifier) queries need the full LoadModelBundle. Estimates for
-/// stored ids are bit-identical to OptHashEstimator::Estimate.
+/// unchecked, and reads the learned table and bucket counters in place
+/// from the payload's columns in the mapping (a big-endian host decodes
+/// them once): no table build, no counter copy. It parses the featurizer
+/// and the classifier as the full load does and rejects the same
+/// mismatches, computes the bundle's MissBucket, and then drops both. So
+/// the view answers every key-only query exactly like the full load, and
+/// its estimates are bit-identical to a blank-text query of
+/// OptHashEstimator::Estimate.
 ///
 /// Move-only; owns its mapping.
 class MappedEstimatorView {
@@ -120,29 +144,30 @@ class MappedEstimatorView {
   static Result<MappedEstimatorView> FromMapping(MappedSnapshot snapshot,
                                                  const std::string& path);
 
-  /// Bucket of a stored id, or -1 when the id is not in the learned
-  /// table (this view cannot fall back to the classifier).
-  int32_t BucketOf(uint64_t id) const { return table_.Find(id); }
-
-  /// Bucket-average estimate phi_j / c_j for a stored id; 0.0 when the id
-  /// is untracked — matching OptHashEstimator::Estimate for items queried
-  /// without features.
-  double Estimate(uint64_t id) const {
-    return counters_.Average(table_.Find(id));
+  /// Bucket a key-only query for `id` reads: its stored bucket, or the
+  /// miss bucket (-1 without a classifier).
+  int32_t BucketOf(uint64_t id) const {
+    const int32_t bucket = table_.Find(id);
+    return bucket >= 0 ? bucket : miss_bucket_;
   }
+
+  /// Bucket-average estimate phi_j / c_j of BucketOf(id); 0.0 for -1.
+  double Estimate(uint64_t id) const { return counters_.Average(BucketOf(id)); }
 
   /// Batched point queries: out[i] = Estimate(ids[i]), allocation-free.
   /// ids.size() must equal out.size().
   void EstimateBatch(Span<const uint64_t> ids, Span<double> out) const {
-    core::EstimateStoredIds(table_, counters_, ids, out);
+    core::EstimateStoredIds(table_, counters_, miss_bucket_, ids, out);
   }
 
   size_t num_buckets() const { return counters_.size; }
   size_t num_stored_ids() const { return table_.size(); }
 
-  /// The learned table and bucket counters, over the mapped columns.
+  /// The learned table and bucket counters, over the mapped columns, and
+  /// the bundle's MissBucket.
   const core::LearnedTable& table() const { return table_; }
   const core::BucketCounters& bucket_counters() const { return counters_; }
+  int32_t miss_bucket() const { return miss_bucket_; }
 
  private:
   MappedEstimatorView() = default;
@@ -155,6 +180,7 @@ class MappedEstimatorView {
   std::vector<int32_t> decoded_buckets_;
   core::LearnedTable table_;
   core::BucketCounters counters_;
+  int32_t miss_bucket_ = -1;
 };
 
 }  // namespace opthash::io

@@ -37,14 +37,4 @@ std::vector<size_t> Dataset::ClassCounts() const {
   return counts;
 }
 
-void Classifier::PredictBatch(const Matrix& rows, Span<int> out) const {
-  OPTHASH_CHECK_EQ(rows.rows(), out.size());
-  std::vector<double> row(rows.cols());
-  for (size_t i = 0; i < rows.rows(); ++i) {
-    const double* data = rows.Row(i);
-    row.assign(data, data + rows.cols());
-    out[i] = Predict(row);
-  }
-}
-
 }  // namespace opthash::ml

@@ -60,12 +60,10 @@ class Classifier {
   virtual int Predict(const std::vector<double>& features) const = 0;
 
   /// Batched prediction over a row-major feature matrix:
-  /// out[i] = predicted class of row i. Semantically identical to calling
-  /// Predict row by row — the base implementation does exactly that
-  /// (through a copy into a scratch vector), so external classifiers keep
-  /// compiling — while the built-in models override it with
-  /// allocation-free row loops for the batched query hot path.
-  virtual void PredictBatch(const Matrix& rows, Span<int> out) const;
+  /// out[i] = predicted class of row i, identical to calling Predict row
+  /// by row. Each model implements it with an allocation-free row loop
+  /// for the batched query hot path.
+  virtual void PredictBatch(const Matrix& rows, Span<int> out) const = 0;
 
   /// Human-readable model name (for experiment tables).
   virtual const char* Name() const = 0;

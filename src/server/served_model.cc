@@ -1,5 +1,6 @@
 #include "server/served_model.h"
 
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -7,7 +8,6 @@
 #include "io/artifact.h"
 #include "sketch/estimate_as_double.h"
 #include "sketch/windowed_sketch.h"
-#include "stream/trace_io.h"
 
 namespace opthash::server {
 namespace {
@@ -27,29 +27,6 @@ uint64_t TotalItemsOf(const Sketch&, long) {  // NOLINT runtime/int
 }
 
 class EmptyContext : public ServedModel::QueryContext {};
-
-void SortAndTruncateHitters(std::vector<sketch::HeavyHitter>& hitters,
-                            size_t k) {
-  sketch::SortHeavyHitters(hitters);
-  if (hitters.size() > k) hitters.resize(k);
-}
-
-// Top-k of a model bundle, owned or mapped. The candidates are the learned
-// table's stored ids, the only keys the bundle tells apart (every other
-// key shares a classifier bucket), walked in ascending id order so the
-// scan is deterministic. Each answer is the stored bucket's average, the
-// same value a query for that id returns; it carries no deterministic
-// per-key bound.
-void StoredIdTopK(const core::LearnedTable& table,
-                  const core::BucketCounters& counters, size_t k,
-                  std::vector<sketch::HeavyHitter>& out) {
-  out.clear();
-  out.reserve(table.size());
-  for (const auto [id, bucket] : table) {
-    out.push_back({id, counters.Average(bucket), 0.0, false});
-  }
-  SortAndTruncateHitters(out, k);
-}
 
 // ---------------------------------------------------------------------------
 // Mutable sketch models.
@@ -171,71 +148,7 @@ class WindowedSketchModel : public ServedModel {
 };
 
 // ---------------------------------------------------------------------------
-// Model bundles (featurizer + OptHashEstimator + classifier).
-
-class BundleModel : public ServedModel {
- public:
-  explicit BundleModel(io::ModelBundle bundle)
-      : bundle_(std::make_unique<io::ModelBundle>(std::move(bundle))) {}
-
-  const char* Kind() const override { return "model-bundle"; }
-  bool ReadOnly() const override { return false; }
-
-  Status Ingest(Span<const uint64_t> keys,
-                const stream::ShardedIngestConfig& config) override {
-    auto stats = bundle_->estimator->Ingest(keys, config);
-    return stats.ok() ? Status::OK() : stats.status();
-  }
-
-  std::unique_ptr<QueryContext> NewQueryContext() const override {
-    return std::make_unique<Context>(*bundle_);
-  }
-
-  void EstimateBatch(QueryContext& context, Span<const uint64_t> keys,
-                     Span<double> out) const override {
-    // Key-only serving routes through the same BundleQueryEngine as the
-    // offline `query` verb: ids the learned table resolves never touch
-    // the featurizer, and misses are blank-text queries, which take the
-    // blank-payload bucket the session's engine classified once. The
-    // TraceRecord block reuses its storage (ids overwritten in place,
-    // texts stay empty), so a warm session allocates nothing here.
-    auto& ctx = static_cast<Context&>(context);
-    ctx.block.resize(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) ctx.block[i].id = keys[i];
-    ctx.engine.EstimateBlock(
-        Span<const stream::TraceRecord>(ctx.block.data(), ctx.block.size()),
-        out);
-  }
-
-  bool SupportsTopK() const override { return true; }
-
-  Status TopK(QueryContext& /*context*/, size_t k,
-              std::vector<sketch::HeavyHitter>& out) const override {
-    StoredIdTopK(bundle_->estimator->table(),
-                 bundle_->estimator->bucket_counters(), k, out);
-    return Status::OK();
-  }
-
-  Status SaveSnapshot(const std::string& path) const override {
-    return io::SaveModelBundle(path, *bundle_, io::SnapshotFormat::kBinary);
-  }
-
-  uint64_t TotalItems() const override { return 0; }
-
- private:
-  struct Context : QueryContext {
-    explicit Context(const io::ModelBundle& bundle) : engine(bundle) {}
-    io::BundleQueryEngine engine;
-    std::vector<stream::TraceRecord> block;
-  };
-
-  // unique_ptr keeps the bundle's address stable: every session's
-  // BundleQueryEngine holds a reference into it.
-  std::unique_ptr<io::ModelBundle> bundle_;
-};
-
-// ---------------------------------------------------------------------------
-// Zero-copy mmap views (read-only serving).
+// Read-only serving from a mapped file.
 
 Status ReadOnlyError(const char* kind, const char* what) {
   return Status::FailedPrecondition(
@@ -243,17 +156,12 @@ Status ReadOnlyError(const char* kind, const char* what) {
       what + " needs a full load (restart without --mmap)");
 }
 
-// A mapped view served read-only. The count-min view answers every point
-// query; the bundle view answers stored-id queries and top-k over its
-// stored ids.
-template <typename View>
-class MappedModel : public ServedModel {
+class MappedCountMinModel : public ServedModel {
  public:
-  explicit MappedModel(View view) : view_(std::move(view)) {}
+  explicit MappedCountMinModel(io::MappedCountMinView view)
+      : view_(std::move(view)) {}
 
-  const char* Kind() const override {
-    return kBundle ? "mapped-model-bundle" : "mapped-count-min";
-  }
+  const char* Kind() const override { return "mapped-count-min"; }
   bool ReadOnly() const override { return true; }
 
   Status Ingest(Span<const uint64_t>,
@@ -270,29 +178,92 @@ class MappedModel : public ServedModel {
     sketch::EstimateBatchAsDouble(view_, keys, out);
   }
 
-  bool SupportsTopK() const override { return kBundle; }
-
-  Status TopK(QueryContext& context, size_t k,
-              std::vector<sketch::HeavyHitter>& out) const override {
-    if constexpr (kBundle) {
-      StoredIdTopK(view_.table(), view_.bucket_counters(), k, out);
-      return Status::OK();
-    } else {
-      return ServedModel::TopK(context, k, out);
-    }
-  }
-
-  Status SaveSnapshot(const std::string& path) const override {
-    (void)path;
+  Status SaveSnapshot(const std::string& /*path*/) const override {
     return ReadOnlyError(Kind(), "snapshot rotation");
   }
 
-  uint64_t TotalItems() const override { return TotalItemsOf(view_, 0); }
+  uint64_t TotalItems() const override { return view_.total_count(); }
 
  private:
-  static constexpr bool kBundle =
-      std::is_same_v<View, io::MappedEstimatorView>;
-  View view_;
+  io::MappedCountMinView view_;
+};
+
+// ---------------------------------------------------------------------------
+// Model bundles, fully loaded or mapped.
+
+// Either way a key-only query is answered from the learned table by
+// core::EstimateStoredIds, a miss from the bundle's miss bucket
+// (io::MissBucket), computed once here; top-k ranks the stored ids. A
+// full load also ingests and writes snapshots; a mapped one is read-only.
+class BundleModel : public ServedModel {
+ public:
+  explicit BundleModel(io::ModelBundle bundle)
+      : bundle_(std::move(bundle)),
+        miss_bucket_(io::MissBucket(bundle_->featurizer,
+                                    bundle_->estimator->classifier())) {}
+  explicit BundleModel(io::MappedEstimatorView view)
+      : view_(std::move(view)), miss_bucket_(view_->miss_bucket()) {}
+
+  const char* Kind() const override {
+    return view_ ? "mapped-model-bundle" : "model-bundle";
+  }
+  bool ReadOnly() const override { return view_.has_value(); }
+
+  Status Ingest(Span<const uint64_t> keys,
+                const stream::ShardedIngestConfig& config) override {
+    if (view_) return ReadOnlyError(Kind(), "ingest");
+    auto stats = bundle_->estimator->Ingest(keys, config);
+    return stats.ok() ? Status::OK() : stats.status();
+  }
+
+  std::unique_ptr<QueryContext> NewQueryContext() const override {
+    return std::make_unique<EmptyContext>();
+  }
+
+  void EstimateBatch(QueryContext& /*context*/, Span<const uint64_t> keys,
+                     Span<double> out) const override {
+    core::EstimateStoredIds(table(), counters(), miss_bucket_, keys, out);
+  }
+
+  bool SupportsTopK() const override { return true; }
+
+  // The candidates are the stored ids, the only keys the bundle tells
+  // apart, walked in ascending id order so the scan is deterministic.
+  // Each answer is the one a query for that id returns; it carries no
+  // deterministic per-key bound.
+  Status TopK(QueryContext& /*context*/, size_t k,
+              std::vector<sketch::HeavyHitter>& out) const override {
+    const core::LearnedTable stored = table();
+    const core::BucketCounters averages = counters();
+    out.clear();
+    out.reserve(stored.size());
+    for (const auto [id, bucket] : stored) {
+      out.push_back({id, averages.Average(bucket), 0.0, false});
+    }
+    sketch::SortHeavyHitters(out);
+    if (out.size() > k) out.resize(k);
+    return Status::OK();
+  }
+
+  Status SaveSnapshot(const std::string& path) const override {
+    if (view_) return ReadOnlyError(Kind(), "snapshot rotation");
+    return io::SaveModelBundle(path, *bundle_, io::SnapshotFormat::kBinary);
+  }
+
+  uint64_t TotalItems() const override { return 0; }
+
+ private:
+  core::LearnedTable table() const {
+    return view_ ? view_->table() : bundle_->estimator->table();
+  }
+  core::BucketCounters counters() const {
+    return view_ ? view_->bucket_counters()
+                 : bundle_->estimator->bucket_counters();
+  }
+
+  std::optional<io::ModelBundle> bundle_;        // Full load.
+  std::optional<io::MappedEstimatorView> view_;  // Mapped open.
+  int32_t miss_bucket_;
 };
 
 Status AmsRejected(const std::string& path) {
@@ -346,11 +317,13 @@ Result<OpenedModel> OpenServedModel(const std::string& path, bool use_mmap) {
       path, use_mmap, [&](auto&& artifact) -> Result<OpenedModel> {
         using Artifact = std::decay_t<decltype(artifact)>;
         OpenedModel opened;
-        if constexpr (std::is_same_v<Artifact, io::ModelBundle>) {
+        if constexpr (std::is_same_v<Artifact, io::ModelBundle> ||
+                      std::is_same_v<Artifact, io::MappedEstimatorView>) {
           opened.model = std::make_unique<BundleModel>(std::move(artifact));
+          opened.mmap_used = io::kIsMappedView<Artifact>;
         } else if constexpr (io::kIsMappedView<Artifact>) {
           opened.model =
-              std::make_unique<MappedModel<Artifact>>(std::move(artifact));
+              std::make_unique<MappedCountMinModel>(std::move(artifact));
           opened.mmap_used = true;
         } else if constexpr (io::kIsWindowed<Artifact>) {
           opened.model = std::make_unique<

@@ -28,13 +28,12 @@ namespace opthash::server {
 ///    with EstimateBatch; the server serializes them behind a writer lock
 ///    (SaveSnapshot shares the read side with queries).
 ///  - EstimateBatch is const and safe to call from many threads at once
-///    PROVIDED each thread uses its own QueryContext — all per-query
+///    PROVIDED each thread uses its own QueryContext — any per-query
 ///    mutable scratch lives in the context, never in the model.
 class ServedModel {
  public:
-  /// Per-session scratch for the batched query path. A warm context makes
-  /// EstimateBatch allocation-free (the batch buffers are reused across
-  /// requests, exactly like io::BundleQueryEngine's workspace).
+  /// Per-session scratch for the batched query path. Every kind today
+  /// answers from fixed-size stack chunks, so its context is empty.
   class QueryContext {
    public:
     virtual ~QueryContext() = default;
@@ -58,12 +57,10 @@ class ServedModel {
   virtual std::unique_ptr<QueryContext> NewQueryContext() const = 0;
 
   /// out[i] = frequency estimate of keys[i]. keys.size() must equal
-  /// out.size(). Sketch answers are identical to the offline `restore`
-  /// verb over the same artifact. A bundle's learned-table misses follow
-  /// one of two rules, by open mode: a full load answers them like
-  /// blank-text rows of the offline `query` verb (the classifier's bucket
-  /// for the featurized empty payload), while the mapped view, which has
-  /// no classifier, answers 0 like `restore` with or without --mmap.
+  /// out.size(). Answers are identical to the offline `restore` verb over
+  /// the same artifact, in either open mode; a bundle answers a
+  /// learned-table miss from its miss bucket (io::MissBucket), like a
+  /// blank-text row of the offline `query` verb.
   virtual void EstimateBatch(QueryContext& context, Span<const uint64_t> keys,
                              Span<double> out) const = 0;
 

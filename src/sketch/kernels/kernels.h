@@ -123,6 +123,17 @@ inline uint64_t KernelHashOne(const HashKernelParams& h, uint64_t key) {
   return MagicMod(h, MulAddMod61(h.a, Mod61(key), h.b));
 }
 
+/// A CountSketch counter read with its key's sign: `value` negated when
+/// `sign_bucket` is 0, kept when it is 1. The sign is a fair coin, so this
+/// stays branch-free (a branch would mispredict on about every other
+/// key), and it negates through uint64_t, so INT64_MIN wraps to itself
+/// instead of overflowing. Shared by the scalar gather and the vector
+/// tiers' tails.
+inline int64_t ApplySign(int64_t value, uint64_t sign_bucket) {
+  const uint64_t flip = 0 - static_cast<uint64_t>(sign_bucket == 0);
+  return static_cast<int64_t>((static_cast<uint64_t>(value) ^ flip) - flip);
+}
+
 /// Read-prefetch hint; no-op where unsupported. The gather kernels issue
 /// it a fixed distance ahead of the consuming loads so row misses overlap
 /// instead of serializing.

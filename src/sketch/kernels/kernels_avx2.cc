@@ -199,8 +199,7 @@ OPTHASH_AVX2_FN void GatherSignedI64Avx2(const int64_t* row,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), signed_value);
   }
   for (size_t i = vec_n; i < n; ++i) {
-    const int64_t value = row[idx[i]];
-    out[i] = sign_bucket[i] == 0 ? -value : value;
+    out[i] = ApplySign(row[idx[i]], sign_bucket[i]);
   }
 }
 

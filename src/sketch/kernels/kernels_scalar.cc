@@ -37,8 +37,7 @@ void GatherSignedI64Scalar(const int64_t* row, const uint64_t* idx,
     if (i + kPrefetchDistance < n) {
       PrefetchRead(row + idx[i + kPrefetchDistance]);
     }
-    const int64_t value = row[idx[i]];
-    out[i] = sign_bucket[i] == 0 ? -value : value;
+    out[i] = ApplySign(row[idx[i]], sign_bucket[i]);
   }
 }
 

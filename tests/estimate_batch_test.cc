@@ -309,7 +309,24 @@ TEST(EstimateBatchTest, MappedEstimatorViewMatchesScalarAndOwned) {
   io::ModelBundle bundle;
   bundle.featurizer = stream::BagOfWordsFeaturizer(16);
   bundle.featurizer.Fit({{"alpha beta", 3.0}, {"gamma", 1.0}});
-  bundle.estimator = TrainedEstimator(ClassifierKind::kCart);
+  // The classifier must read the featurizer's rows: the mapped open
+  // rejects any other, as the full load does.
+  std::vector<PrefixElement> prefix;
+  for (size_t i = 0; i < 30; ++i) {
+    const bool heavy = i < 12;
+    prefix.push_back({.id = (heavy ? 1000 : 2000 - 12) + i,
+                      .frequency = heavy ? 100.0 + i % 3 : 2.0 + i % 2,
+                      .features = bundle.featurizer.Featurize(
+                          heavy ? "alpha beta" : "gamma")});
+  }
+  OptHashConfig config;
+  config.total_buckets = 40;
+  config.id_ratio = 0.3;
+  config.solver = SolverKind::kDp;
+  config.classifier = ClassifierKind::kCart;
+  auto trained = OptHashEstimator::Train(config, prefix);
+  ASSERT_TRUE(trained.ok());
+  bundle.estimator = std::move(trained).value();
   const std::string path =
       ::testing::TempDir() + "/estimate_batch_bundle.bin";
   ASSERT_TRUE(
@@ -323,11 +340,12 @@ TEST(EstimateBatchTest, MappedEstimatorViewMatchesScalarAndOwned) {
   view.value().EstimateBatch(
       Span<const uint64_t>(queries.data(), queries.size()),
       Span<double>(batch.data(), batch.size()));
+  const std::vector<double> blank = bundle.featurizer.Featurize("");
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_EQ(batch[i], view.value().Estimate(queries[i]));
-    // Stored-id semantics match the owned estimator queried featureless.
-    ASSERT_EQ(batch[i],
-              bundle.estimator->Estimate({queries[i], nullptr}));
+    // Key-only semantics match the owned estimator queried with the blank
+    // payload.
+    ASSERT_EQ(batch[i], bundle.estimator->Estimate({queries[i], &blank}));
   }
   view.value().EstimateBatch(Span<const uint64_t>(), Span<double>());
   double one = -1.0;

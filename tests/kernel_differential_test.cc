@@ -237,6 +237,33 @@ TEST(KernelGatherSignedI64, EveryTierMatchesReferenceGather) {
   ResetKernelTierForTest();
 }
 
+// gather_signed_i64 at the counter extremes, on the vector body and the
+// tail alike: a negative sign negates through two's complement, so
+// INT64_MIN maps to itself instead of overflowing.
+TEST(KernelGatherSignedI64, ExtremeCountersNegateWithoutOverflow) {
+  const std::vector<int64_t> row = {INT64_MIN, INT64_MAX, -1, 0};
+  std::vector<uint64_t> idx;
+  std::vector<uint64_t> sign;
+  std::vector<int64_t> expected;
+  for (uint64_t i = 0; i < 2 * row.size() + 1; ++i) {
+    idx.push_back(i % row.size());
+    sign.push_back((i / row.size()) % 2);
+  }
+  for (size_t i = 0; i < idx.size(); ++i) {
+    const int64_t value = row[idx[i]];
+    expected.push_back(sign[i] == 1 || value == INT64_MIN ? value : -value);
+  }
+  for (const KernelTier tier : TiersUnderTest()) {
+    ASSERT_TRUE(ForceKernelTier(tier).ok());
+    std::vector<int64_t> got(idx.size(), 7);
+    kernels::ActiveKernels().gather_signed_i64(row.data(), idx.data(),
+                                               sign.data(), idx.size(),
+                                               got.data());
+    EXPECT_EQ(got, expected) << "tier=" << KernelTierName(tier);
+  }
+  ResetKernelTierForTest();
+}
+
 // scatter_add_u64: heavy duplicate indices — every tier must apply all
 // increments (the contract pins scatters to the shared sequential loop
 // precisely so intra-batch collisions cannot be lost).

@@ -108,8 +108,11 @@ TEST(LearnedTableTest, BucketAveragesFailClosedOutsideTheBuckets) {
   const LearnedTable table(ids.data(), buckets.data(), ids.size());
   const std::vector<uint64_t> queries = {10, 15, 30, 20};
   std::vector<double> out(queries.size(), -1.0);
-  EstimateStoredIds(table, counters, queries, out);
+  EstimateStoredIds(table, counters, /*miss_bucket=*/-1, queries, out);
   EXPECT_EQ(out, (std::vector<double>{2.0, 0.0, 0.0, 0.0}));
+  // A miss bucket answers the miss, and only the miss.
+  EstimateStoredIds(table, counters, /*miss_bucket=*/0, queries, out);
+  EXPECT_EQ(out, (std::vector<double>{2.0, 2.0, 0.0, 0.0}));
 }
 
 }  // namespace

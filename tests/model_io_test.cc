@@ -1,12 +1,13 @@
 // Tests for the model-bundle persistence layer (src/io/model_io.h): text
 // and binary round trips must reproduce byte-identical query answers,
 // formats must auto-detect, and the mmap-backed estimator view must agree
-// with the fully deserialized estimator on stored-id queries.
+// with the fully deserialized estimator on key-only queries.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -310,9 +311,12 @@ Status LoadCartEstimatorText(size_t buckets, size_t classes) {
       .status();
 }
 
-Status LoadCartEstimatorBinary(size_t buckets, size_t classes) {
+// The binary payload of that estimator, its tree reading `features`-long
+// rows.
+std::vector<uint8_t> CartEstimatorPayload(size_t buckets, size_t classes,
+                                          size_t features) {
   ByteWriter tree;
-  WriteLeafTree(tree, 1, classes, 0);
+  WriteLeafTree(tree, features, classes, 0);
   ByteWriter out;
   out.WriteU32(1);  // payload version
   out.WriteU32(static_cast<uint32_t>(core::ClassifierKind::kCart));
@@ -324,12 +328,39 @@ Status LoadCartEstimatorBinary(size_t buckets, size_t classes) {
   out.AlignTo(8);
   out.WriteU64(tree.size());
   out.WriteBytes(tree.bytes().data(), tree.size());
-  ByteReader in(out.bytes().data(), out.size());
+  return out.TakeBytes();
+}
+
+Status LoadCartEstimatorBinary(size_t buckets, size_t classes) {
+  const std::vector<uint8_t> payload = CartEstimatorPayload(buckets, classes, 1);
+  ByteReader in(payload.data(), payload.size());
   return core::OptHashEstimator::DeserializeBinary(in).status();
 }
 
+// The same estimator in a binary bundle whose featurizer writes the rows
+// its tree reads, opened mapped.
+Status LoadCartBundleMapped(size_t buckets, size_t classes) {
+  stream::BagOfWordsFeaturizer featurizer(16);
+  featurizer.Fit({{"alpha beta", 1.0}});
+  ByteWriter featurizer_bytes;
+  featurizer.SerializeBinary(featurizer_bytes);
+  SnapshotWriter writer;
+  writer.AddSection(SectionType::kFeaturizer, featurizer_bytes.TakeBytes());
+  writer.AddSection(
+      SectionType::kOptHashEstimator,
+      CartEstimatorPayload(buckets, classes, featurizer.FeatureDim()));
+  const std::string path = ::testing::TempDir() + "/model_io_cart_" +
+                           std::to_string(buckets) + "_" +
+                           std::to_string(classes) + ".bin";
+  const Status written = writer.WriteToFile(path);
+  if (!written.ok()) return written;
+  return testutil::OpenArtifactAs<MappedEstimatorView>(path, /*use_mmap=*/true)
+      .status();
+}
+
 TEST(ModelIoTest, EstimatorRejectsClassifierWithMoreClassesThanBuckets) {
-  for (const auto load : {LoadCartEstimatorText, LoadCartEstimatorBinary}) {
+  for (const auto load : {LoadCartEstimatorText, LoadCartEstimatorBinary,
+                          LoadCartBundleMapped}) {
     const Status rejected = load(2, 5);
     EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(rejected.message().find("buckets"), std::string::npos)
@@ -404,6 +435,16 @@ TEST(ModelIoTest, LoadRejectsClassifierReadingOtherThanFeaturizerRows) {
       EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
       EXPECT_NE(loaded.status().message().find("features"), std::string::npos)
           << loaded.status().ToString();
+      if (format == SnapshotFormat::kBinary) {
+        // The mapped open parses the classifier too, and rejects the same.
+        auto mapped = testutil::OpenArtifactAs<MappedEstimatorView>(
+            path, /*use_mmap=*/true);
+        ASSERT_FALSE(mapped.ok()) << path;
+        EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(mapped.status().message().find("features"),
+                  std::string::npos)
+            << mapped.status().ToString();
+      }
     }
   }
 }
@@ -420,17 +461,65 @@ TEST(MappedEstimatorViewTest, StoredIdQueriesMatchFullLoad) {
   EXPECT_EQ(view.value().num_buckets(), bundle.estimator->num_buckets());
   EXPECT_EQ(view.value().num_stored_ids(),
             bundle.estimator->num_stored_ids());
+  // A key-only query is a blank-text one, hit or miss.
+  const std::vector<double> blank = bundle.featurizer.Featurize("");
   for (uint64_t id = 90; id < 330; ++id) {
-    const stream::StreamItem item{id, nullptr};
+    const stream::StreamItem item{id, &blank};
     EXPECT_EQ(view.value().BucketOf(id), bundle.estimator->BucketOf(item))
         << id;
     EXPECT_DOUBLE_EQ(view.value().Estimate(id),
                      bundle.estimator->Estimate(item))
         << id;
   }
-  // Ids outside the table have no classifier fallback in the view.
-  EXPECT_EQ(view.value().BucketOf(987654321), -1);
-  EXPECT_EQ(view.value().Estimate(987654321), 0.0);
+  // Ids outside the table read the miss bucket: the classifier's bucket
+  // for the blank payload, as in the full load.
+  const stream::StreamItem unseen{987654321, &blank};
+  EXPECT_GE(view.value().miss_bucket(), 0);
+  EXPECT_EQ(view.value().BucketOf(987654321), view.value().miss_bucket());
+  EXPECT_EQ(view.value().BucketOf(987654321),
+            bundle.estimator->BucketOf(unseen));
+  EXPECT_EQ(view.value().Estimate(987654321),
+            bundle.estimator->Estimate(unseen));
+}
+
+TEST(MappedEstimatorViewTest, FlippedCounterByteIsSeenOnlyByTheCrcCheck) {
+  const ModelBundle bundle =
+      TrainedBundle(core::ClassifierKind::kRandomForest, 27);
+  const std::string path = ::testing::TempDir() + "/model_io_flipped.bin";
+  ASSERT_TRUE(SaveModelBundle(path, bundle, SnapshotFormat::kBinary).ok());
+  std::vector<uint8_t> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  auto parsed = SnapshotView::Parse(Span<const uint8_t>(bytes));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const SnapshotSection* section =
+      parsed.value().Find(SectionType::kOptHashEstimator);
+  ASSERT_NE(section, nullptr);
+  // phi_0's low mantissa byte, after the version, kind, B and T fields.
+  const auto at = static_cast<size_t>(section->payload.data() - bytes.data());
+  bytes[at + 24] ^= 0x01;
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+
+  // The mapped open checks no payload CRC: it opens and answers.
+  auto view = testutil::OpenArtifactAs<MappedEstimatorView>(path,
+                                                           /*use_mmap=*/true);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  const std::vector<double> blank = bundle.featurizer.Featurize("");
+  for (uint64_t id = 90; id < 330; ++id) {
+    if (view.value().BucketOf(id) == 0) continue;  // Reads the damage.
+    EXPECT_EQ(view.value().Estimate(id),
+              bundle.estimator->Estimate({id, &blank}))
+        << id;
+  }
+  // Only the CRC check sees the damage; the full load runs it.
+  auto mapping = MappedSnapshot::Open(path);
+  ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+  EXPECT_FALSE(mapping.value().view().VerifyPayloadCrcs().ok());
+  EXPECT_FALSE(LoadModelBundle(path).ok());
 }
 
 TEST(MappedEstimatorViewTest, RejectsTextBundlesAndSketchSnapshots) {

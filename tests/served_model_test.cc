@@ -3,9 +3,9 @@
 // bundles, each opened with and without mmap. Only plain count-min
 // checkpoints and binary bundles map; AMS is refused; every other open is
 // a full load. Every served answer equals the object the file was
-// written from. A bundle with a classifier is the exception: the two open
-// modes answer a learned-table miss by different rules, which the rf case
-// at the end pins.
+// written from. An rf bundle pins the one key-only miss rule in both open
+// modes, and its write side (ingest, snapshot, top-k) round-trips through
+// a reopen in both.
 
 #include <gtest/gtest.h>
 
@@ -162,12 +162,9 @@ TEST(OpenServedModelTest, EveryArtifactKindWithAndWithoutMmap) {
   }
 }
 
-TEST(OpenServedModelTest, RfBundleMissRuleFollowsTheOpenMode) {
-  // Today's key-only miss rule, pinned so that choosing one rule (ROADMAP
-  // item 2) changes this test on purpose. The full load answers a miss
-  // from the blank-payload bucket, like `opthash_cli query` on a
-  // blank-text row. The mapped view has no classifier and answers 0, like
-  // `opthash_cli restore` with or without --mmap.
+// A 10-tree rf bundle over ids 100..249 whose classifier reads the
+// featurizer's rows.
+io::ModelBundle RfBundle() {
   io::ModelBundle bundle;
   bundle.featurizer = stream::BagOfWordsFeaturizer(32);
   std::vector<std::pair<std::string, double>> corpus;
@@ -190,36 +187,110 @@ TEST(OpenServedModelTest, RfBundleMissRuleFollowsTheOpenMode) {
                           corpus[i].first)});
   }
   auto trained = core::OptHashEstimator::Train(config, prefix);
-  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  EXPECT_TRUE(trained.ok()) << trained.status().ToString();
   bundle.estimator = std::move(trained).value();
+  return bundle;
+}
+
+// Stored ids and ids on both sides of the table.
+std::vector<uint64_t> RfKeys() {
+  std::vector<uint64_t> keys;
+  for (uint64_t id = 90; id < 280; ++id) keys.push_back(id);
+  return keys;
+}
+
+std::vector<double> Answers(const ServedModel& model,
+                            const std::vector<uint64_t>& keys) {
+  auto context = model.NewQueryContext();
+  std::vector<double> answers(keys.size());
+  model.EstimateBatch(*context, keys, answers);
+  return answers;
+}
+
+TEST(OpenServedModelTest, RfBundleMissRuleIsTheSameInBothOpenModes) {
+  // A learned-table miss answers from the blank-payload bucket whether
+  // the bundle is loaded or mapped, like a blank-text row of
+  // `opthash_cli query`.
+  const io::ModelBundle bundle = RfBundle();
   const std::string path = PathFor("rf-bundle");
   ASSERT_TRUE(
       io::SaveModelBundle(path, bundle, io::SnapshotFormat::kBinary).ok());
 
-  std::vector<uint64_t> keys;
-  for (uint64_t id = 90; id < 280; ++id) keys.push_back(id);
+  const std::vector<uint64_t> keys = RfKeys();
   const std::vector<double> blank = bundle.featurizer.Featurize("");
-  size_t split_misses = 0;
+  size_t telling_misses = 0;
   for (const uint64_t id : keys) {
-    split_misses += bundle.estimator->table().Find(id) < 0 &&
-                    bundle.estimator->Estimate({id, &blank}) !=
-                        bundle.estimator->Estimate({id, nullptr});
+    telling_misses += bundle.estimator->table().Find(id) < 0 &&
+                      bundle.estimator->Estimate({id, &blank}) !=
+                          bundle.estimator->Estimate({id, nullptr});
   }
-  ASSERT_GT(split_misses, 0u) << "no miss tells the two rules apart";
+  ASSERT_GT(telling_misses, 0u) << "no miss tells the rule from answering 0";
   for (const bool use_mmap : {false, true}) {
     SCOPED_TRACE(use_mmap ? "mmap" : "full load");
     auto opened = OpenServedModel(path, use_mmap);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     EXPECT_EQ(opened.value().mmap_used, use_mmap);
-    const ServedModel& model = *opened.value().model;
-    auto context = model.NewQueryContext();
-    std::vector<double> answers(keys.size());
-    model.EstimateBatch(*context, keys, answers);
+    const std::vector<double> answers = Answers(*opened.value().model, keys);
     for (size_t i = 0; i < keys.size(); ++i) {
-      const stream::StreamItem item{keys[i], use_mmap ? nullptr : &blank};
-      EXPECT_EQ(answers[i], bundle.estimator->Estimate(item))
+      EXPECT_EQ(answers[i], bundle.estimator->Estimate({keys[i], &blank}))
           << "id " << keys[i];
     }
+  }
+}
+
+TEST(OpenServedModelTest, RfBundleSnapshotReopensWithTheLiveAnswers) {
+  io::ModelBundle bundle = RfBundle();
+  const std::string path = PathFor("rf-live");
+  ASSERT_TRUE(
+      io::SaveModelBundle(path, bundle, io::SnapshotFormat::kBinary).ok());
+  auto live = OpenServedModel(path, /*use_mmap=*/false);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ServedModel& model = *live.value().model;
+
+  // Arrivals for stored ids and for ids the table does not hold.
+  std::vector<uint64_t> block;
+  for (uint64_t i = 0; i < 3000; ++i) block.push_back(90 + (i * 7) % 190);
+  stream::ShardedIngestConfig config;
+  config.num_threads = 2;
+  config.block_size = 256;
+  ASSERT_TRUE(model.Ingest(block, config).ok());
+  const std::string snapshot = PathFor("rf-snapshot");
+  ASSERT_TRUE(model.SaveSnapshot(snapshot).ok());
+
+  // The live model against an independent reference: the same arrivals
+  // ingested into the bundle, queried with the blank payload.
+  ASSERT_TRUE(bundle.estimator->Ingest(block, config).ok());
+  const std::vector<uint64_t> keys = RfKeys();
+  const std::vector<double> blank = bundle.featurizer.Featurize("");
+  const std::vector<double> answers = Answers(model, keys);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(answers[i], bundle.estimator->Estimate({keys[i], &blank}))
+        << "id " << keys[i];
+  }
+  auto context = model.NewQueryContext();
+  std::vector<sketch::HeavyHitter> top;
+  ASSERT_TRUE(model.SupportsTopK());
+  ASSERT_TRUE(model.TopK(*context, 12, top).ok());
+  ASSERT_EQ(top.size(), 12u);
+
+  for (const bool use_mmap : {false, true}) {
+    SCOPED_TRACE(use_mmap ? "mmap" : "full load");
+    auto reopened = OpenServedModel(snapshot, use_mmap);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(reopened.value().mmap_used, use_mmap);
+    const ServedModel& again = *reopened.value().model;
+    EXPECT_EQ(Answers(again, keys), answers);
+    auto again_context = again.NewQueryContext();
+    std::vector<sketch::HeavyHitter> again_top;
+    ASSERT_TRUE(again.TopK(*again_context, 12, again_top).ok());
+    EXPECT_EQ(again_top, top);
+  }
+  auto loaded = io::LoadModelBundle(snapshot);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (const uint64_t id : keys) {
+    EXPECT_EQ(loaded.value().estimator->Estimate({id, &blank}),
+              bundle.estimator->Estimate({id, &blank}))
+        << "id " << id;
   }
 }
 

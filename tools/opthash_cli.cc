@@ -140,14 +140,13 @@ constexpr const char* kUsageText =
     "                  F2 moment, so the trace is ignored with a note).\n"
     "                  Without it, prints a summary of the file\n"
     "  --mmap 1        zero-copy load: serve queries straight from the\n"
-    "                  mapped file. Binary bundles answer stored-id\n"
-    "                  queries (no classifier fallback), cms checkpoints\n"
-    "                  answer all point queries. Text bundles and sketch\n"
-    "                  kinds without a mapped view (countsketch/ams/lcms/\n"
-    "                  mg/ss, windowed rings) fall back to a full load with\n"
-    "                  a stderr notice (the daemon's contract too); the\n"
-    "                  mode actually used is always reported as a\n"
-    "                  `load mode:` stderr line\n"
+    "                  mapped file, with the same answers as a full load.\n"
+    "                  Binary bundles and cms checkpoints map; text\n"
+    "                  bundles and sketch kinds without a mapped view\n"
+    "                  (countsketch/ams/lcms/mg/ss, windowed rings) fall\n"
+    "                  back to a full load with a stderr notice (the\n"
+    "                  daemon's contract too); the mode actually used is\n"
+    "                  always reported as a `load mode:` stderr line\n"
     "  --block-size B  query ids per batched estimator call\n"
     "                  (default 4096)\n"
     "\n"
@@ -586,9 +585,8 @@ Status PrintEstimatesBatch(const Flags& flags, size_t block_size,
   return Status::OK();
 }
 
-// `restore` answers id-only queries from the learned table alone, owned or
-// mapped alike: a table miss answers 0. `query`, and the daemon's full
-// load, route the same miss to the blank-payload bucket instead.
+// A bundle answers `restore`'s id-only queries as key-only ones, owned or
+// mapped alike: a table miss reads the bundle's miss bucket.
 Status PrintRestored(const Flags& flags, const std::string& /*in*/,
                      size_t block_size, const io::ModelBundle& bundle) {
   const core::OptHashEstimator& estimator = *bundle.estimator;
@@ -598,25 +596,27 @@ Status PrintRestored(const Flags& flags, const std::string& /*in*/,
                 estimator.MemoryKb());
     return Status::OK();
   }
+  const int32_t miss_bucket =
+      io::MissBucket(bundle.featurizer, estimator.classifier());
   return PrintEstimatesBatch(
       flags, block_size, [&](Span<const uint64_t> keys, Span<double> out) {
         core::EstimateStoredIds(estimator.table(),
-                                estimator.bucket_counters(), keys, out);
+                                estimator.bucket_counters(), miss_bucket,
+                                keys, out);
       });
 }
 
 Status PrintRestored(const Flags& flags, const std::string& /*in*/,
                      size_t block_size, const io::MappedEstimatorView& view) {
   if (!flags.Has("trace")) {
-    std::printf(
-        "mapped model bundle: %zu buckets, %zu stored ids (stored-id "
-        "queries only)\n",
-        view.num_buckets(), view.num_stored_ids());
+    std::printf("mapped model bundle: %zu buckets, %zu stored ids\n",
+                view.num_buckets(), view.num_stored_ids());
     return Status::OK();
   }
   return PrintEstimatesBatch(
       flags, block_size, [&](Span<const uint64_t> keys, Span<double> out) {
-        view.EstimateBatch(keys, out);
+        core::EstimateStoredIds(view.table(), view.bucket_counters(),
+                                view.miss_bucket(), keys, out);
       });
 }
 

@@ -72,8 +72,8 @@ constexpr const char* kUsageText =
     "  --event-threads N  event-loop threads serving the sessions\n"
     "                  (default 0 = one per hardware thread)\n"
     "  --mmap 1        zero-copy read-only serving straight from the\n"
-    "                  mapped file (binary bundles: stored-id queries\n"
-    "                  only; cms checkpoints: all point queries). Kinds\n"
+    "                  mapped file (binary bundles, cms checkpoints),\n"
+    "                  with the same answers as a full load. Kinds\n"
     "                  without a mapped view fall back to a full load\n"
     "                  with a stderr notice; the mode actually used is\n"
     "                  always reported as a `load mode:` line. Read-only\n"

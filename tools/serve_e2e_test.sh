@@ -3,8 +3,11 @@
 # opthash_serve_e2e), proving the two contracts the daemon is for:
 #
 #  1. Served answers == offline answers: a trained model bundle queried
-#     through the daemon is byte-identical (same id,estimate CSV) to the
-#     offline `opthash_cli query` verb.
+#     key-only is byte-identical (same id,estimate CSV) across five
+#     readers: the offline `opthash_cli query` verb, the daemon with and
+#     without --mmap 1, and `opthash_cli restore --trace` with and
+#     without --mmap 1. Most queried ids miss the learned table, so this
+#     pins the one miss rule of every verb and open mode.
 #  2. Crash recovery: ingest part A, snapshot, ingest part B, kill -9;
 #     a daemon restarted from the rotated snapshot that re-ingests part B
 #     answers exactly like one unbroken ingestion of A+B (checked against
@@ -58,7 +61,7 @@ wait_ready() {
 }
 
 # ---------------------------------------------------------------------------
-echo "== part 1: served bundle answers == offline query verb"
+echo "== part 1: served and restored bundle answers == offline query verb"
 
 awk 'BEGIN {
   print "id,text";
@@ -79,21 +82,41 @@ awk 'BEGIN { print "id,text"; for (i = 0; i < 160; i++) printf "%d,\n", i; }' \
 "$CLI" query --model "$WORK/model.bin" --trace "$WORK/queries.csv" \
   > "$WORK/offline.csv"
 
-"$SERVE" $SERVE_LISTEN --in "$WORK/model.bin" \
-  > "$WORK/serve_bundle.log" 2>&1 &
-SERVE_PID=$!
-resolve_target "$WORK/serve_bundle.log"
-wait_ready
-"$CLIENT" $TARGET query --trace "$WORK/queries.csv" \
-  > "$WORK/served.csv"
-"$CLIENT" $TARGET shutdown > /dev/null
-wait "$SERVE_PID"
-
-diff "$WORK/offline.csv" "$WORK/served.csv" || {
-  echo "FAIL: served bundle answers differ from offline query verb"
+# Serves the bundle with the extra daemon flags $1 (the log is
+# serve_bundle$2.log) and writes the client's answers to served$2.csv.
+serve_bundle() {
+  "$SERVE" $SERVE_LISTEN --in "$WORK/model.bin" $1 \
+    > "$WORK/serve_bundle$2.log" 2>&1 &
+  SERVE_PID=$!
+  resolve_target "$WORK/serve_bundle$2.log"
+  wait_ready
+  "$CLIENT" $TARGET query --trace "$WORK/queries.csv" \
+    > "$WORK/served$2.csv"
+  "$CLIENT" $TARGET shutdown > /dev/null
+  wait "$SERVE_PID"
+}
+serve_bundle "" ""
+serve_bundle "--mmap 1" "_mmap"
+grep -q "load mode: mmap" "$WORK/serve_bundle_mmap.log" || {
+  echo "FAIL: the --mmap 1 daemon did not map the bundle"
   exit 1
 }
-echo "ok: served answers byte-identical to offline query"
+"$CLI" restore --in "$WORK/model.bin" --trace "$WORK/queries.csv" \
+  > "$WORK/restored.csv" 2> /dev/null
+"$CLI" restore --in "$WORK/model.bin" --trace "$WORK/queries.csv" \
+  --mmap 1 > "$WORK/restored_mmap.csv" 2> "$WORK/restored_mmap.log"
+grep -q "load mode: mmap" "$WORK/restored_mmap.log" || {
+  echo "FAIL: restore --mmap 1 did not map the bundle"
+  exit 1
+}
+
+for reader in served served_mmap restored restored_mmap; do
+  diff "$WORK/offline.csv" "$WORK/$reader.csv" || {
+    echo "FAIL: $reader answers differ from offline query verb"
+    exit 1
+  }
+done
+echo "ok: served and restored answers byte-identical to offline query"
 
 # ---------------------------------------------------------------------------
 echo "== part 2: kill -9 + resume from rotated snapshot == unbroken ingest"
