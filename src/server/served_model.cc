@@ -1,5 +1,6 @@
 #include "server/served_model.h"
 
+#include <mutex>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -7,6 +8,7 @@
 
 #include "io/artifact.h"
 #include "sketch/estimate_as_double.h"
+#include "sketch/staged_update.h"
 #include "sketch/windowed_sketch.h"
 
 namespace opthash::server {
@@ -40,9 +42,19 @@ class SketchModel : public ServedModel {
   bool ReadOnly() const override { return false; }
 
   Status Ingest(Span<const uint64_t> keys,
-                const stream::ShardedIngestConfig& config) override {
+                const stream::ShardedIngestConfig& config,
+                std::shared_mutex& writer) override {
     stream::ShardedIngestConfig sharded = config;
     sharded.mode = io::kSketchKindOf<Sketch>.shard_mode;
+    if constexpr (sketch::HasHashPhase<Sketch>::value) {
+      // One thread: exactly UpdateBatch, hashed before the lock.
+      if (sharded.Validate().ok() &&
+          stream::ResolveThreadCount(sharded.num_threads) == 1) {
+        sketch::StagedUpdateBatch(sketch_, keys, writer);
+        return Status::OK();
+      }
+    }
+    std::lock_guard<std::shared_mutex> lock(writer);
     auto stats = stream::ShardedIngest(keys, sharded, sketch_);
     return stats.ok() ? Status::OK() : stats.status();
   }
@@ -94,9 +106,11 @@ class WindowedSketchModel : public ServedModel {
   bool ReadOnly() const override { return false; }
 
   Status Ingest(Span<const uint64_t> keys,
-                const stream::ShardedIngestConfig& config) override {
+                const stream::ShardedIngestConfig& config,
+                std::shared_mutex& writer) override {
     stream::ShardedIngestConfig sharded = config;
     sharded.mode = io::kSketchKindOf<Sketch>.shard_mode;
+    std::lock_guard<std::shared_mutex> lock(writer);
     return ring_.Ingest(keys, sharded);
   }
 
@@ -164,8 +178,8 @@ class MappedCountMinModel : public ServedModel {
   const char* Kind() const override { return "mapped-count-min"; }
   bool ReadOnly() const override { return true; }
 
-  Status Ingest(Span<const uint64_t>,
-                const stream::ShardedIngestConfig&) override {
+  Status Ingest(Span<const uint64_t>, const stream::ShardedIngestConfig&,
+                std::shared_mutex&) override {
     return ReadOnlyError(Kind(), "ingest");
   }
 
@@ -210,8 +224,10 @@ class BundleModel : public ServedModel {
   bool ReadOnly() const override { return view_.has_value(); }
 
   Status Ingest(Span<const uint64_t> keys,
-                const stream::ShardedIngestConfig& config) override {
+                const stream::ShardedIngestConfig& config,
+                std::shared_mutex& writer) override {
     if (view_) return ReadOnlyError(Kind(), "ingest");
+    std::lock_guard<std::shared_mutex> lock(writer);
     auto stats = bundle_->estimator->Ingest(keys, config);
     return stats.ok() ? Status::OK() : stats.status();
   }

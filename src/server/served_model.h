@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <shared_mutex>
 #include <string>
 
 #include "common/span.h"
@@ -24,9 +25,18 @@ namespace opthash::server {
 /// not per-key queries, so serving one is a configuration error.
 ///
 /// Threading contract (what the server relies on):
-///  - Ingest and SaveSnapshot may not run concurrently with each other or
-///    with EstimateBatch; the server serializes them behind a writer lock
-///    (SaveSnapshot shares the read side with queries).
+///  - Ingest takes the caller's writer lock itself, exclusively, for as
+///    long as the model's counters change, and the caller holds no lock
+///    around it. A count-min or CountSketch block ingested on one thread
+///    is hashed before the lock is taken (sketch/staged_update.h); the
+///    lock covers only the scatter-add, plus the hashing of any tail
+///    beyond the staging budget. Every other ingest holds it for the
+///    whole block: conservative count-min, mg, ss, lcms, windowed rings,
+///    bundles, and any ingest with num_threads > 1. Either way one block
+///    changes under one hold of the lock. A read-only view rejects an
+///    ingest without taking the lock.
+///  - The server runs SaveSnapshot, EstimateBatch, TopK and WindowStats
+///    under the shared side of the same lock.
 ///  - EstimateBatch is const and safe to call from many threads at once
 ///    PROVIDED each thread uses its own QueryContext — any per-query
 ///    mutable scratch lives in the context, never in the model.
@@ -50,9 +60,19 @@ class ServedModel {
 
   /// Ingests one block of arrivals (unit increments) through the sharded
   /// ingestion engine; `config.num_threads == 1` is the plain sequential
-  /// UpdateBatch path.
+  /// UpdateBatch path. Holds `writer` exclusively while counters change
+  /// (see the threading contract above).
   virtual Status Ingest(Span<const uint64_t> keys,
-                        const stream::ShardedIngestConfig& config) = 0;
+                        const stream::ShardedIngestConfig& config,
+                        std::shared_mutex& writer) = 0;
+
+  /// The same ingest for a caller that owns the model alone: the lock it
+  /// takes is its own and never contended.
+  Status Ingest(Span<const uint64_t> keys,
+                const stream::ShardedIngestConfig& config) {
+    std::shared_mutex unshared;
+    return Ingest(keys, config, unshared);
+  }
 
   virtual std::unique_ptr<QueryContext> NewQueryContext() const = 0;
 

@@ -64,7 +64,8 @@ Server::Server(ServerConfig config, std::unique_ptr<ServedModel> model)
       [this](const std::string& path) {
         // Serialization shares the read side with queries: rotation never
         // blocks the read path and never observes a half-applied ingest
-        // block (ingest holds the lock exclusively).
+        // block (an ingest changes a block's counters under one exclusive
+        // hold of the lock).
         std::shared_lock<std::shared_mutex> lock(model_mutex_);
         return model_->SaveSnapshot(path);
       });
@@ -301,12 +302,11 @@ bool Server::HandleRequest(Span<const uint8_t> payload,
         EncodeErrorResponse(decoded, response);
         return false;
       }
-      Status ingested;
-      {
-        std::unique_lock<std::shared_mutex> lock(model_mutex_);
-        ingested = model_->Ingest(
-            Span<const uint64_t>(keys.data(), keys.size()), config_.ingest);
-      }
+      // The model takes the writer lock itself, only while its counters
+      // change.
+      const Status ingested =
+          model_->Ingest(Span<const uint64_t>(keys.data(), keys.size()),
+                         config_.ingest, model_mutex_);
       if (!ingested.ok()) {
         EncodeErrorResponse(ingested, response);
         return true;  // Semantic failure; the session stays usable.

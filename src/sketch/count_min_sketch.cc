@@ -13,6 +13,9 @@ namespace {
 // Batch paths hash one key block per level into this much stack scratch,
 // keeping the hot loops allocation-free (tests/query_alloc_test.cc).
 constexpr size_t kKernelChunk = 256;
+// UpdateBatch stages every level's indices of one key block at once:
+// 256 keys at depth 4.
+constexpr size_t kUpdateChunkWords = 4 * kKernelChunk;
 }  // namespace
 
 CountMinLevels::CountMinLevels(size_t width, size_t depth, uint64_t seed)
@@ -105,23 +108,39 @@ void CountMinSketch::Update(uint64_t key, uint64_t count) {
 }
 
 void CountMinSketch::UpdateBatch(Span<const uint64_t> keys) {
-  if (conservative_update_) {
+  const size_t words = HashedWordsPerKey();
+  if (words == 0 || words > kUpdateChunkWords) {
+    // Conservative, or deeper than the chunk holds one key of.
     for (uint64_t key : keys) Update(key);
     return;
   }
-  total_count_ += keys.size();
-  // Plain unit increments commute, so hashing a whole block per level
-  // through the kernel tier and scatter-adding is bit-identical to the
-  // per-key loop.
+  uint64_t staged[kUpdateChunkWords];
+  const size_t chunk = kUpdateChunkWords / words;
+  for (size_t begin = 0; begin < keys.size(); begin += chunk) {
+    const Span<const uint64_t> block = keys.subspan(begin, chunk);
+    HashBatch(block, staged);
+    AddHashed(staged, block.size());
+  }
+}
+
+void CountMinSketch::HashBatch(Span<const uint64_t> keys,
+                               uint64_t* staged) const {
   const kernels::KernelOps& ops = kernels::ActiveKernels();
-  uint64_t idx[kKernelChunk];
-  for (size_t begin = 0; begin < keys.size(); begin += kKernelChunk) {
-    const size_t block = std::min(kKernelChunk, keys.size() - begin);
-    for (size_t level = 0; level < depth_; ++level) {
-      ops.hash_buckets(levels_.kernel_params(level), keys.data() + begin,
-                       block, idx);
-      ops.scatter_add_u64(counters_.data() + level * width_, idx, block);
-    }
+  for (size_t level = 0; level < depth_; ++level) {
+    ops.hash_buckets(levels_.kernel_params(level), keys.data(), keys.size(),
+                     staged + level * keys.size());
+  }
+}
+
+void CountMinSketch::AddHashed(const uint64_t* staged, size_t n) {
+  OPTHASH_CHECK(!conservative_update_ || n == 0);
+  // Plain unit increments commute, so scatter-adding a whole block per
+  // level is bit-identical to the per-key loop.
+  const kernels::KernelOps& ops = kernels::ActiveKernels();
+  total_count_ += n;
+  for (size_t level = 0; level < depth_; ++level) {
+    ops.scatter_add_u64(counters_.data() + level * width_,
+                        staged + level * n, n);
   }
 }
 

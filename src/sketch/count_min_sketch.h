@@ -82,8 +82,28 @@ class CountMinSketch {
   /// Batched unit-increment hot path: one arrival per key in `keys`.
   /// Equivalent to calling Update(key) for each key in order; exists so
   /// the sharded ingestion engine (stream/sharded_ingest.h) amortizes the
-  /// per-call overhead over whole trace blocks.
+  /// per-call overhead over whole trace blocks. A plain sketch runs it as
+  /// HashBatch then AddHashed over a stack chunk.
   void UpdateBatch(Span<const uint64_t> keys);
+
+  /// Words HashBatch stages per key: one bucket index per level. 0 for a
+  /// conservative sketch, whose update reads the counters it raises and
+  /// so has no counter-free phase to split off.
+  size_t HashedWordsPerKey() const {
+    return conservative_update_ ? 0 : depth_;
+  }
+
+  /// Hash phase of UpdateBatch: staged[level * keys.size() + i] is
+  /// keys[i]'s bucket in row `level`, hashed through the dispatched
+  /// kernel tier. Const and reads no counter, so it may run outside the
+  /// lock that guards the counters. `staged` holds
+  /// HashedWordsPerKey() * keys.size() words.
+  void HashBatch(Span<const uint64_t> keys, uint64_t* staged) const;
+
+  /// Counter phase: one arrival for each of the `n` keys whose indices
+  /// HashBatch staged. The two phases together are bit-identical to
+  /// UpdateBatch on every tier.
+  void AddHashed(const uint64_t* staged, size_t n);
 
   /// Folds `other` into this sketch. The CMS is a linear sketch: with
   /// identical hash functions the counters of two half-stream sketches add

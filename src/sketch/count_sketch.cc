@@ -12,6 +12,9 @@ namespace {
 // (depth x block) level-estimate scratch on the stack, so the block is
 // smaller than the CMS one to bound the frame at 32 KiB.
 constexpr size_t kBatchChunk = 64;
+// UpdateBatch stages every level's buckets and sign buckets of one key
+// block at once: 128 keys at depth 4.
+constexpr size_t kUpdateChunkWords = 1024;
 }  // namespace
 
 CountSketch::CountSketch(size_t width, size_t depth, uint64_t seed)
@@ -40,22 +43,40 @@ void CountSketch::Update(uint64_t key, int64_t count) {
 }
 
 void CountSketch::UpdateBatch(Span<const uint64_t> keys) {
-  // Signed unit increments commute, so hashing a block per level through
-  // the kernel tier and scatter-adding is bit-identical to the per-key
-  // loop.
+  const size_t words = HashedWordsPerKey();
+  if (words > kUpdateChunkWords) {
+    // Deeper than the chunk holds one key of.
+    for (uint64_t key : keys) Update(key);
+    return;
+  }
+  uint64_t staged[kUpdateChunkWords];
+  const size_t chunk = kUpdateChunkWords / words;
+  for (size_t begin = 0; begin < keys.size(); begin += chunk) {
+    const Span<const uint64_t> block = keys.subspan(begin, chunk);
+    HashBatch(block, staged);
+    AddHashed(staged, block.size());
+  }
+}
+
+void CountSketch::HashBatch(Span<const uint64_t> keys,
+                            uint64_t* staged) const {
   const kernels::KernelOps& ops = kernels::ActiveKernels();
-  uint64_t idx[kBatchChunk];
-  uint64_t sign[kBatchChunk];
-  for (size_t begin = 0; begin < keys.size(); begin += kBatchChunk) {
-    const size_t block = std::min(kBatchChunk, keys.size() - begin);
-    for (size_t level = 0; level < depth_; ++level) {
-      ops.hash_buckets(bucket_params_[level], keys.data() + begin, block,
-                       idx);
-      ops.hash_buckets(sign_params_[level], keys.data() + begin, block,
-                       sign);
-      ops.scatter_add_signed_i64(counters_.data() + level * width_, idx,
-                                 sign, block);
-    }
+  const size_t n = keys.size();
+  for (size_t level = 0; level < depth_; ++level) {
+    uint64_t* idx = staged + 2 * level * n;
+    ops.hash_buckets(bucket_params_[level], keys.data(), n, idx);
+    ops.hash_buckets(sign_params_[level], keys.data(), n, idx + n);
+  }
+}
+
+void CountSketch::AddHashed(const uint64_t* staged, size_t n) {
+  // Signed unit increments commute, so scatter-adding a whole block per
+  // level is bit-identical to the per-key loop.
+  const kernels::KernelOps& ops = kernels::ActiveKernels();
+  for (size_t level = 0; level < depth_; ++level) {
+    const uint64_t* idx = staged + 2 * level * n;
+    ops.scatter_add_signed_i64(counters_.data() + level * width_, idx,
+                               idx + n, n);
   }
 }
 

@@ -27,7 +27,24 @@ class CountSketch {
   void Update(uint64_t key, int64_t count = 1);
 
   /// Batched unit-increment hot path; equivalent to Update(key) per key.
+  /// Runs as HashBatch then AddHashed over a stack chunk.
   void UpdateBatch(Span<const uint64_t> keys);
+
+  /// Words HashBatch stages per key: a bucket index and a sign bucket per
+  /// level.
+  size_t HashedWordsPerKey() const { return 2 * depth_; }
+
+  /// Hash phase of UpdateBatch: for n = keys.size(), level `level`'s
+  /// buckets of the keys fill staged[2 * level * n, (2 * level + 1) * n)
+  /// and their sign buckets the next n words (a sign bucket of 0 means
+  /// -1). Const and reads no counter, so it may run outside the lock that
+  /// guards the counters. `staged` holds HashedWordsPerKey() * n words.
+  void HashBatch(Span<const uint64_t> keys, uint64_t* staged) const;
+
+  /// Counter phase: one signed arrival for each of the `n` keys whose
+  /// buckets HashBatch staged. The two phases together are bit-identical
+  /// to UpdateBatch on every tier.
+  void AddHashed(const uint64_t* staged, size_t n);
 
   /// Folds `other` into this sketch. The Count Sketch is linear: with
   /// identical (bucket, sign) hash draws, counter-wise addition of two

@@ -3,7 +3,8 @@
 // produce BIT-IDENTICAL results — estimates and raw counter tables — to
 // the untouched per-key scalar reference paths, across random
 // geometries, seeds, and batch sizes, including empty/single-item/
-// unaligned-tail edges, the mmap view, and the windowed rings.
+// unaligned-tail edges, the mmap view, the windowed rings, and the
+// staged ingest the daemon runs under its writer lock.
 //
 // Each KernelOps entry point has a named case here; the project linter
 // (tools/lint/opthash_lint.py) enforces that lockstep, so a kernel can
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +37,7 @@
 #include "sketch/kernels/kernels.h"
 #include "sketch/kernels/simd_dispatch.h"
 #include "sketch/learned_count_min.h"
+#include "sketch/staged_update.h"
 #include "sketch/windowed_sketch.h"
 
 namespace opthash::sketch {
@@ -427,6 +430,60 @@ TEST(CountSketchDifferential, BatchUpdateTablesBitIdenticalOnEveryTier) {
           << "tier=" << KernelTierName(tier) << " width=" << g.width
           << " depth=" << g.depth;
     }
+  }
+}
+
+// Block sizes for the staged ingest: empty, one key, either side of 256,
+// and either side of the staging budget in keys (for the sketch's own
+// words per key, and for one word per level), where the tail starts
+// hashing under the lock.
+std::vector<size_t> StagedBlockSizes(size_t words_per_key, size_t depth) {
+  std::vector<size_t> sizes = {0, 1, 255, 256, 257};
+  for (const size_t words : {words_per_key, depth}) {
+    if (words == 0) continue;
+    const size_t head = kStagedUpdateWords / words;
+    sizes.insert(sizes.end(), {head - 1, head, head + 1});
+  }
+  return sizes;
+}
+
+// The served ingest path (StagedUpdateBatch: hash, lock, scatter-add,
+// tail through UpdateBatch) against UpdateBatch and the per-key Update,
+// byte for byte, per tier.
+template <typename Sketch>
+void ExpectStagedIngestMatches(const Sketch& empty, Rng& rng) {
+  const size_t words = empty.HashedWordsPerKey();
+  for (const size_t n : StagedBlockSizes(words, empty.depth())) {
+    const std::vector<uint64_t> keys = RandomKeys(n, rng);
+    Sketch reference = empty.EmptyClone();
+    for (const uint64_t key : keys) reference.Update(key);
+    const std::vector<uint8_t> expected = CounterTableBytes(reference);
+    for (const KernelTier tier : TiersUnderTest()) {
+      ASSERT_TRUE(ForceKernelTier(tier).ok());
+      Sketch batched = empty.EmptyClone();
+      batched.UpdateBatch(Span<const uint64_t>(keys));
+      Sketch staged = empty.EmptyClone();
+      std::mutex writer;
+      StagedUpdateBatch(staged, Span<const uint64_t>(keys), writer);
+      ASSERT_EQ(CounterTableBytes(batched), expected)
+          << "tier=" << KernelTierName(tier) << " width=" << empty.width()
+          << " depth=" << empty.depth() << " n=" << n;
+      ASSERT_EQ(CounterTableBytes(staged), expected)
+          << "tier=" << KernelTierName(tier) << " width=" << empty.width()
+          << " depth=" << empty.depth() << " n=" << n;
+    }
+  }
+}
+
+TEST(StagedIngestDifferential, TablesMatchUpdateBatchAndPerKeyOnEveryTier) {
+  TierGuard guard;
+  Rng rng(1212);
+  for (const Geometry& g : kGeometries) {
+    ExpectStagedIngestMatches(CountMinSketch(g.width, g.depth, g.seed), rng);
+    ExpectStagedIngestMatches(
+        CountMinSketch(g.width, g.depth, g.seed, /*conservative_update=*/true),
+        rng);
+    ExpectStagedIngestMatches(CountSketch(g.width, g.depth, g.seed), rng);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <shared_mutex>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,9 +19,11 @@
 #include "core/baseline_estimators.h"
 #include "core/opt_hash_estimator.h"
 #include "server/protocol.h"
+#include "server/served_model.h"
 #include "sketch/count_min_sketch.h"
 #include "sketch/count_sketch.h"
 #include "stream/features.h"
+#include "stream/sharded_ingest.h"
 
 namespace {
 std::atomic<size_t> g_allocation_count{0};
@@ -192,6 +195,35 @@ TEST(QueryAllocTest, SketchBatchQueriesAreAllocationFree) {
     }
   });
   EXPECT_EQ(allocations, 0u);
+}
+
+// The served ingest of a fresh count-min or CountSketch: the staged
+// indices live on the ingest function's stack, never on the heap, with
+// the server's lock passed in and with the lock of the two-argument
+// overload alike.
+TEST(QueryAllocTest, ServedSketchIngestIsAllocationFreeWhenWarm) {
+  Rng rng(19);
+  std::vector<uint64_t> block(4096);
+  for (auto& key : block) key = rng.NextBounded(100000);
+  const Span<const uint64_t> keys(block.data(), block.size());
+  const stream::ShardedIngestConfig one_thread;
+  for (const char* kind : {"cms", "countsketch"}) {
+    server::FreshSketchSpec spec;
+    spec.kind = kind;
+    spec.width = 1 << 16;
+    auto created = server::CreateServedSketch(spec);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    server::ServedModel& model = *created.value();
+    std::shared_mutex writer;
+    ASSERT_TRUE(model.Ingest(keys, one_thread, writer).ok());  // Warm-up.
+    const size_t allocations = AllocationsIn([&] {
+      for (int i = 0; i < 20; ++i) {
+        OPTHASH_CHECK(model.Ingest(keys, one_thread, writer).ok());
+        OPTHASH_CHECK(model.Ingest(keys, one_thread).ok());
+      }
+    });
+    EXPECT_EQ(allocations, 0u) << kind;
+  }
 }
 
 // The wire codec of every query round trip: once the frame and array

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
+#include <future>
+#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -159,6 +163,35 @@ TEST(OpenServedModelTest, EveryArtifactKindWithAndWithoutMmap) {
       model.EstimateBatch(*context, keys, answers);
       EXPECT_EQ(answers, artifact.expected);
     }
+  }
+}
+
+// A mapped view rejects an ingest without taking the writer lock, so a
+// rejected ingest at an --mmap daemon never stalls a reader. The test
+// holds the lock itself; an ingest that waited for it would not return.
+TEST(OpenServedModelTest, MappedIngestIsRejectedWithoutTheWriterLock) {
+  std::vector<Artifact> artifacts;
+  AddSketchArtifacts(artifacts);
+  AddBundleArtifacts(artifacts);
+  const std::vector<uint64_t> keys = Arrivals();
+  for (const Artifact& artifact : artifacts) {
+    if (!artifact.maps) continue;
+    SCOPED_TRACE(artifact.name);
+    auto opened = OpenServedModel(artifact.path, /*use_mmap=*/true);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ServedModel& model = *opened.value().model;
+    std::shared_mutex writer;
+    std::unique_lock<std::shared_mutex> held(writer);
+    auto rejected = std::async(std::launch::async, [&] {
+      return model.Ingest(keys, stream::ShardedIngestConfig(), writer);
+    });
+    const bool returned = rejected.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    held.unlock();
+    EXPECT_TRUE(returned) << "the rejected ingest waited for the lock";
+    const Status status = rejected.get();
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+        << status.ToString();
   }
 }
 

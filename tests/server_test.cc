@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "artifact_test_util.h"
@@ -828,6 +829,72 @@ TEST(ServerTest, ConcurrentQueriesWhileIngesting) {
   ASSERT_TRUE(writer.Query(one_key, out).ok());
   EXPECT_EQ(out[0], 5000.0);
 }
+
+// Readers query one key while a writer ingests it in fixed-size blocks.
+// Ingest hashes a block before taking the writer lock and changes its
+// counters under one hold of it, so every answer is a whole number of
+// blocks. 20,000 keys at depth 4 overflow the staging budget, so the
+// tail hashed under the lock is covered too. CountSketch stores each
+// count signed per level and answers their median, so a half-applied
+// block shows there as well.
+class IngestAtomicityUnderLoad
+    : public ::testing::TestWithParam<std::tuple<std::string, size_t>> {};
+
+TEST_P(IngestAtomicityUnderLoad, ReadersSeeWholeBlocksOnly) {
+  const size_t block_size = std::get<1>(GetParam());
+  FreshSketchSpec spec;
+  spec.kind = std::get<0>(GetParam());
+  spec.width = 4096;
+  spec.depth = 4;
+  spec.seed = 21;
+  auto model = CreateServedSketch(spec);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  RunningServer running(std::move(model).value());
+  ASSERT_TRUE(running.Start().ok());
+
+  constexpr uint64_t kKey = 99;
+  const size_t blocks = 400000 / block_size;
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> answers{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      auto client = Client::Connect(running.socket());
+      ASSERT_TRUE(client.ok());
+      std::vector<double> out;
+      const std::vector<uint64_t> one_key = {kKey};
+      while (!stop.load()) {
+        ASSERT_TRUE(client.value().Query(one_key, out).ok());
+        const auto count = static_cast<uint64_t>(out[0]);
+        ASSERT_EQ(static_cast<double>(count), out[0]);
+        ASSERT_EQ(count % block_size, 0u) << "a query split an ingest block";
+        answers.fetch_add(1);
+      }
+    });
+  }
+  Client writer = running.MustConnect();
+  const std::vector<uint64_t> block(block_size, kKey);
+  for (size_t i = 0; i < blocks; ++i) {
+    ASSERT_TRUE(writer.Ingest(block).ok());
+  }
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_GT(answers.load(), 0u);
+  std::vector<double> out;
+  const std::vector<uint64_t> one_key = {kKey};
+  ASSERT_TRUE(writer.Query(one_key, out).ok());
+  EXPECT_EQ(out[0], static_cast<double>(blocks * block_size));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServerTest, IngestAtomicityUnderLoad,
+    ::testing::Combine(::testing::Values(std::string("cms"),
+                                         std::string("countsketch")),
+                       ::testing::Values(size_t{100}, size_t{20000})),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_block" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace opthash::server
