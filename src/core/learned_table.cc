@@ -13,6 +13,8 @@ namespace {
 // of `size` ids takes the same number of halving steps, so the lanes
 // advance together and each step issues kN independent loads. `pos`
 // ends at the last id <= key (or 0), which is the key's entry if stored.
+// Its bucket is loaded either way and masked to -1 on a miss, so a mix of
+// hits and misses costs no mispredicted branch.
 template <size_t kN>
 void SearchLanes(const uint64_t* ids, const int32_t* buckets, size_t size,
                  const uint64_t* keys, int32_t* out) {
@@ -30,7 +32,8 @@ void SearchLanes(const uint64_t* ids, const int32_t* buckets, size_t size,
     len -= half;
   }
   for (size_t lane = 0; lane < kN; ++lane) {
-    out[lane] = ids[pos[lane]] == keys[lane] ? buckets[pos[lane]] : -1;
+    const int32_t hit = -static_cast<int32_t>(ids[pos[lane]] == keys[lane]);
+    out[lane] = (buckets[pos[lane]] & hit) | ~hit;
   }
 }
 

@@ -83,11 +83,11 @@ struct BucketCounters {
   void GatherAverages(Span<const int32_t> buckets, Span<double> out) const;
 };
 
-/// Key-only queries, the one answer path of every bundle verb and open
-/// mode: out[i] is the average of ids[i]'s stored bucket, or of
-/// `miss_bucket` when the table does not hold ids[i]. A miss bucket of -1
-/// answers misses 0. Probed and gathered one stack block at a time;
-/// ids.size() must equal out.size().
+/// Key-only queries of every bundle verb and open mode (the offline
+/// query engine answers a blank-text row the same way): out[i] is the
+/// average of ids[i]'s stored bucket, or of `miss_bucket` when the table
+/// does not hold ids[i]. A miss bucket of -1 answers misses 0. Probed and
+/// gathered one stack block at a time; ids.size() must equal out.size().
 void EstimateStoredIds(const LearnedTable& table,
                        const BucketCounters& counters, int32_t miss_bucket,
                        Span<const uint64_t> ids, Span<double> out);

@@ -201,45 +201,78 @@ void OptHashEstimator::Update(const stream::StreamItem& item) {
   if (bucket >= 0) bucket_freq_[static_cast<size_t>(bucket)] += 1.0;
 }
 
-void OptHashEstimator::AccumulateUpdates(
-    Span<const uint64_t> ids, std::vector<double>& bucket_deltas) const {
+void OptHashEstimator::AccumulateUpdates(Span<const uint64_t> ids,
+                                         Span<double> bucket_deltas) const {
   OPTHASH_CHECK_EQ(bucket_deltas.size(), bucket_freq_.size());
   constexpr size_t kChunk = 256;
   int32_t buckets[kChunk];
   const LearnedTable learned = table();
+  double* deltas = bucket_deltas.data();
   for (size_t base = 0; base < ids.size(); base += kChunk) {
     const size_t chunk = std::min(kChunk, ids.size() - base);
     learned.FindBatch(ids.subspan(base, chunk),
                       Span<int32_t>(buckets, chunk));
+    // Compact the hits to the front, then add them: no branch on hit or
+    // miss, whose mix no predictor can learn.
+    size_t hits = 0;
     for (size_t i = 0; i < chunk; ++i) {
-      if (buckets[i] >= 0) {
-        bucket_deltas[static_cast<size_t>(buckets[i])] += 1.0;
-      }
+      const int32_t bucket = buckets[i];
+      buckets[hits] = bucket;
+      hits += static_cast<size_t>(bucket >= 0);
+    }
+    for (size_t h = 0; h < hits; ++h) {
+      deltas[static_cast<size_t>(buckets[h])] += 1.0;
     }
   }
 }
 
-Status OptHashEstimator::ApplyBucketDeltas(const std::vector<double>& deltas) {
-  if (deltas.size() != bucket_freq_.size()) {
+Result<OptHashEstimator::ArrivalCounts> OptHashEstimator::CountArrivals(
+    Span<const uint64_t> ids, const stream::ShardedIngestConfig& config) const {
+  const Status valid = config.Validate();
+  if (!valid.ok()) return valid;
+  // Bucket deltas add exactly, so replicas need no key partition. A
+  // key-partitioned run hands every block to every worker, and each
+  // worker would count every id.
+  stream::ShardedIngestConfig replicated = config;
+  replicated.mode = stream::ShardMode::kReplicated;
+  const size_t buckets = num_buckets();
+  ArrivalCounts counts;
+  counts.deltas.assign(
+      stream::ResolveThreadCount(config.num_threads) * buckets, 0.0);
+  auto stats = stream::ShardedIngestCustom(
+      ids, replicated,
+      [&](size_t worker) {
+        return Span<double>(counts.deltas.data() + worker * buckets, buckets);
+      },
+      [this](Span<double>& deltas, size_t /*worker*/,
+             Span<const uint64_t> block) { AccumulateUpdates(block, deltas); },
+      [](Span<double>&) { return Status::OK(); });
+  if (!stats.ok()) return stats.status();
+  counts.stats = stats.value();
+  return counts;
+}
+
+Status OptHashEstimator::ApplyBucketDeltas(Span<const double> deltas) {
+  const size_t buckets = bucket_freq_.size();
+  if (deltas.size() % buckets != 0) {
     return Status::InvalidArgument(
-        "bucket delta array size does not match num_buckets()");
+        "bucket delta array size is not a multiple of num_buckets()");
   }
-  for (size_t j = 0; j < deltas.size(); ++j) {
-    bucket_freq_[j] += deltas[j];
+  for (size_t base = 0; base < deltas.size(); base += buckets) {
+    for (size_t j = 0; j < buckets; ++j) {
+      bucket_freq_[j] += deltas.data()[base + j];
+    }
   }
   return Status::OK();
 }
 
 Result<stream::IngestStats> OptHashEstimator::Ingest(
     Span<const uint64_t> ids, const stream::ShardedIngestConfig& config) {
-  return stream::ShardedIngestCustom(
-      ids, config,
-      [this](size_t) { return std::vector<double>(num_buckets(), 0.0); },
-      [this](std::vector<double>& deltas, size_t /*worker*/,
-             Span<const uint64_t> block) { AccumulateUpdates(block, deltas); },
-      [this](std::vector<double>& deltas) {
-        return ApplyBucketDeltas(deltas);
-      });
+  auto counts = CountArrivals(ids, config);
+  if (!counts.ok()) return counts.status();
+  const Status applied = ApplyBucketDeltas(counts.value().deltas);
+  if (!applied.ok()) return applied;
+  return counts.value().stats;
 }
 
 void OptHashEstimator::ClassifyPendingRows(OptHashQueryWorkspace& ws) const {
@@ -261,14 +294,21 @@ void OptHashEstimator::RouteBatch(Span<const stream::StreamItem> items,
                                   OptHashQueryWorkspace& ws) const {
   ws.buckets.resize(items.size());
   ws.pending.clear();
-  // Pass 1a: the learned-table probes run back to back; classifier
-  // candidates are only recorded, not predicted yet. Featureless misses
-  // stay -1 — there is nothing to classify them with.
+  // Pass 1a: the learned table is probed a stack block of ids at a time;
+  // classifier candidates are only recorded, not predicted yet.
+  // Featureless misses stay -1 — there is nothing to classify them with.
+  constexpr size_t kChunk = 256;
+  uint64_t ids[kChunk];
   const LearnedTable learned = table();
+  for (size_t base = 0; base < items.size(); base += kChunk) {
+    const size_t chunk = std::min(kChunk, items.size() - base);
+    for (size_t i = 0; i < chunk; ++i) ids[i] = items[base + i].id;
+    learned.FindBatch(Span<const uint64_t>(ids, chunk),
+                      Span<int32_t>(ws.buckets.data() + base, chunk));
+  }
+  if (classifier_ == nullptr) return;
   for (size_t i = 0; i < items.size(); ++i) {
-    ws.buckets[i] = learned.Find(items[i].id);
-    if (ws.buckets[i] < 0 && classifier_ != nullptr &&
-        items[i].features != nullptr) {
+    if (ws.buckets[i] < 0 && items[i].features != nullptr) {
       ws.pending.push_back(i);
     }
   }

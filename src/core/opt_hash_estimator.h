@@ -126,18 +126,32 @@ class OptHashEstimator : public FrequencyEstimator {
   /// calling Update once per id — this is the key-partitioned/bucketed
   /// analogue of the linear sketches' replica merge.
   void AccumulateUpdates(Span<const uint64_t> ids,
-                         std::vector<double>& bucket_deltas) const;
+                         Span<double> bucket_deltas) const;
 
-  /// Folds a delta array produced by AccumulateUpdates into the bucket
-  /// counters. Fails with InvalidArgument unless deltas.size() ==
-  /// num_buckets().
-  Status ApplyBucketDeltas(const std::vector<double>& deltas);
+  /// The first step of Ingest: each worker of the sharded ingestion
+  /// engine accumulates its share of `ids` into its own delta array. The
+  /// arrays lie end to end in `deltas`, num_buckets() each, in worker
+  /// order. Runs in kReplicated mode whatever `config.mode` says: delta
+  /// arrays merge exactly, and every id is counted once. Const and reads
+  /// no counter, so it needs no lock against readers or against
+  /// ApplyBucketDeltas.
+  struct ArrivalCounts {
+    std::vector<double> deltas;
+    stream::IngestStats stats;
+  };
+  Result<ArrivalCounts> CountArrivals(
+      Span<const uint64_t> ids,
+      const stream::ShardedIngestConfig& config) const;
 
-  /// Ingests a block of arrival ids through the sharded ingestion engine:
-  /// each worker accumulates into a private delta array and the arrays
-  /// fold back in worker order, exactly a sequential Update loop at any
-  /// thread count. The `apply` verb and the daemon's bundle model both
-  /// ingest here.
+  /// Folds delta arrays into the bucket counters: `deltas` holds
+  /// num_buckets()-long arrays end to end (CountArrivals' layout), added
+  /// in order. Fails with InvalidArgument, changing nothing, unless
+  /// deltas.size() is a multiple of num_buckets().
+  Status ApplyBucketDeltas(Span<const double> deltas);
+
+  /// Ingests a block of arrival ids: CountArrivals, then ApplyBucketDeltas
+  /// — exactly a sequential Update loop at any thread count. The `apply`
+  /// verb and the daemon's bundle model both ingest through these steps.
   Result<stream::IngestStats> Ingest(Span<const uint64_t> ids,
                                      const stream::ShardedIngestConfig& config);
 

@@ -130,33 +130,34 @@ void BundleQueryEngine::EstimateBlock(
     Span<const stream::TraceRecord> queries, Span<double> out) {
   OPTHASH_CHECK_EQ(queries.size(), out.size());
   const core::OptHashEstimator& estimator = *bundle_.estimator;
-  const core::LearnedTable table = estimator.table();
-  const core::BucketCounters counters = estimator.bucket_counters();
   ids_.resize(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) ids_[i] = queries[i].id;
-  core::EstimateStoredIds(table, counters, miss_bucket_, ids_, out);
-  if (estimator.classifier() == nullptr) return;
-  // A texted miss is routed by its own features instead.
+  std::vector<int32_t>& buckets = workspace_.buckets;
+  buckets.resize(queries.size());
+  estimator.table().FindBatch(ids_, buckets);
+  // A miss takes the miss bucket, unless it has text to classify.
+  const bool classify = estimator.classifier() != nullptr;
   std::vector<size_t>& texted = workspace_.pending;
   texted.clear();
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (!queries[i].text.empty() && table.Find(ids_[i]) < 0) {
+    if (buckets[i] >= 0) continue;
+    if (classify && !queries[i].text.empty()) {
       texted.push_back(i);
+    } else {
+      buckets[i] = miss_bucket_;
     }
   }
-  if (texted.empty()) return;
-  const size_t dim = bundle_.featurizer.FeatureDim();
-  workspace_.features.Reshape(texted.size(), dim);
-  for (size_t p = 0; p < texted.size(); ++p) {
-    bundle_.featurizer.Featurize(
-        queries[texted[p]].text,
-        Span<double>(workspace_.features.Row(p), dim));
+  if (!texted.empty()) {
+    const size_t dim = bundle_.featurizer.FeatureDim();
+    workspace_.features.Reshape(texted.size(), dim);
+    for (size_t p = 0; p < texted.size(); ++p) {
+      bundle_.featurizer.Featurize(
+          queries[texted[p]].text,
+          Span<double>(workspace_.features.Row(p), dim));
+    }
+    estimator.ClassifyPendingRows(workspace_);
   }
-  workspace_.buckets.resize(queries.size());
-  estimator.ClassifyPendingRows(workspace_);
-  for (const size_t i : texted) {
-    out[i] = counters.Average(workspace_.buckets[i]);
-  }
+  estimator.bucket_counters().GatherAverages(buckets, out);
 }
 
 Result<MappedEstimatorView> MappedEstimatorView::FromMapping(

@@ -67,7 +67,8 @@ Result<ModelBundle> LoadModelBundle(const std::string& path);
 /// `classifier` assigns the blank payload, whose feature row is all
 /// zeros, or -1 without a classifier, which answers 0. A constant of the
 /// bundle: every reader computes it once, when it opens the bundle, and
-/// answers key-only queries through core::EstimateStoredIds.
+/// answers key-only queries from it (core::EstimateStoredIds, and
+/// BundleQueryEngine for a blank-text row).
 int32_t MissBucket(const stream::BagOfWordsFeaturizer& featurizer,
                    const ml::Classifier* classifier);
 
@@ -95,16 +96,17 @@ Status CheckClassifierFits(const stream::BagOfWordsFeaturizer& featurizer,
 /// \brief Batched query pipeline over a loaded model bundle: the read
 /// side of the offline `query` verb.
 ///
-/// EstimateBlock answers one block of (id, text) queries. Every row is
-/// first answered as a key-only query through core::EstimateStoredIds: a
-/// table hit from its stored bucket, a miss from the bundle's MissBucket,
-/// which is also the answer of a blank-text miss. Then only the texted
-/// misses are featurized, straight into the workspace's feature matrix,
-/// classified in one batch, and answered from their own buckets. A table
-/// hit wins before the classifier is consulted, so its text is never
-/// featurized. All scratch is reused across blocks, so a warm engine
-/// performs no heap allocation per block. Answers are element-wise
-/// identical to featurizing every query and calling Estimate one by one.
+/// EstimateBlock answers one block of (id, text) queries. The block's ids
+/// probe the learned table in one batch (core::LearnedTable::FindBatch):
+/// a hit is answered from its stored bucket, a blank-text miss from the
+/// bundle's MissBucket, as core::EstimateStoredIds answers a key-only
+/// query. Only the texted misses are featurized, straight into the
+/// workspace's feature matrix, classified in one batch, and answered from
+/// their own buckets. A table hit wins before the classifier is
+/// consulted, so its text is never featurized. All scratch is reused
+/// across blocks, so a warm engine performs no heap allocation per block.
+/// Answers are element-wise identical to featurizing every query and
+/// calling Estimate one by one.
 ///
 /// Holds a reference to the bundle (which must outlive the engine) and
 /// mutable scratch: one engine per querying thread.

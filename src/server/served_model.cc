@@ -208,7 +208,8 @@ class MappedCountMinModel : public ServedModel {
 // Either way a key-only query is answered from the learned table by
 // core::EstimateStoredIds, a miss from the bundle's miss bucket
 // (io::MissBucket), computed once here; top-k ranks the stored ids. A
-// full load also ingests and writes snapshots; a mapped one is read-only.
+// full load also ingests, counting a block before it takes the writer
+// lock, and writes snapshots; a mapped one is read-only.
 class BundleModel : public ServedModel {
  public:
   explicit BundleModel(io::ModelBundle bundle)
@@ -227,9 +228,12 @@ class BundleModel : public ServedModel {
                 const stream::ShardedIngestConfig& config,
                 std::shared_mutex& writer) override {
     if (view_) return ReadOnlyError(Kind(), "ingest");
+    // Counting reads only the learned table, which never changes; one
+    // hold of the lock covers the fold of every worker's deltas.
+    auto counts = bundle_->estimator->CountArrivals(keys, config);
+    if (!counts.ok()) return counts.status();
     std::lock_guard<std::shared_mutex> lock(writer);
-    auto stats = bundle_->estimator->Ingest(keys, config);
-    return stats.ok() ? Status::OK() : stats.status();
+    return bundle_->estimator->ApplyBucketDeltas(counts.value().deltas);
   }
 
   std::unique_ptr<QueryContext> NewQueryContext() const override {

@@ -30,9 +30,12 @@ namespace opthash::server {
 ///    around it. A count-min or CountSketch block ingested on one thread
 ///    is hashed before the lock is taken (sketch/staged_update.h); the
 ///    lock covers only the scatter-add, plus the hashing of any tail
-///    beyond the staging budget. Every other ingest holds it for the
-///    whole block: conservative count-min, mg, ss, lcms, windowed rings,
-///    bundles, and any ingest with num_threads > 1. Either way one block
+///    beyond the staging budget. A fully loaded bundle counts its
+///    block's bucket deltas through the learned table at any thread
+///    count before the lock is taken; the lock covers only the fold of
+///    every worker's deltas. Every other ingest holds it for the whole
+///    block: conservative count-min, mg, ss, lcms, windowed rings, and
+///    any sketch ingest with num_threads > 1. Either way one block
 ///    changes under one hold of the lock. A read-only view rejects an
 ///    ingest without taking the lock.
 ///  - The server runs SaveSnapshot, EstimateBatch, TopK and WindowStats

@@ -69,10 +69,12 @@ struct ServerConfig {
 ///  - an ingest request hands the model lock to ServedModel::Ingest,
 ///    which takes it exclusively only while counters change: a
 ///    single-threaded count-min or CountSketch block is hashed first and
-///    only its scatter-add runs under the lock; conservative count-min,
-///    mg, ss, lcms, windowed rings, bundles and every `--threads > 1`
-///    ingest hold it for the whole block, and a read-only mapped model
-///    rejects the request without taking it. One request block is still
+///    only its scatter-add runs under the lock; a bundle counts its
+///    block's bucket deltas first, at any `--threads`, and only folds
+///    them under the lock; conservative count-min, mg, ss, lcms,
+///    windowed rings and every other `--threads > 1` ingest hold it for
+///    the whole block, and a read-only mapped model rejects the request
+///    without taking it. One request block is still
 ///    the unit of atomicity (a query or snapshot never splits a block);
 ///  - snapshot rotation serializes the model under the *shared* lock
 ///    (rotation runs concurrently with queries, never with ingest).

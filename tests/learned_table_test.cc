@@ -1,11 +1,12 @@
 // Tests for core::LearnedTable, the one probe over the learned table's
-// ascending id and bucket columns: Find and FindBatch must agree with an
-// ordered-map reference at every table size, for hits and misses, at the
-// extreme ids 0 and UINT64_MAX, and for batch lengths that leave a partial
-// block of lanes.
+// ascending id and bucket columns: Find, FindBatch and EstimateStoredIds
+// must agree with an ordered-map reference and with std::lower_bound at
+// every table size, for hits and misses, at the extreme ids 0 and
+// UINT64_MAX, and for batch lengths that leave a partial block of lanes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -113,6 +114,72 @@ TEST(LearnedTableTest, BucketAveragesFailClosedOutsideTheBuckets) {
   // A miss bucket answers the miss, and only the miss.
   EstimateStoredIds(table, counters, /*miss_bucket=*/0, queries, out);
   EXPECT_EQ(out, (std::vector<double>{2.0, 2.0, 0.0, 0.0}));
+}
+
+// The probe against std::lower_bound, the textbook search over the same
+// sorted column: Find, FindBatch and EstimateStoredIds at table sizes
+// around the lane count and at the served bundle's 3,150 ids, with ids 0
+// and UINT64_MAX stored or probed outside the stored range, at every
+// batch length's remainder mod kLanes, with a miss bucket of -1 and a
+// valid one.
+TEST(LearnedTableTest, ProbesMatchLowerBoundAtEveryLaneRemainder) {
+  constexpr size_t kLanes = LearnedTable::kLanes;
+  constexpr size_t kBuckets = 64;  // MakeColumns draws buckets below 64.
+  std::vector<double> freq(kBuckets);
+  std::vector<double> count(kBuckets);
+  for (size_t j = 0; j < kBuckets; ++j) {
+    freq[j] = static_cast<double>(3 * j + 1);
+    count[j] = static_cast<double>(j % 5);  // Every fifth bucket is empty.
+  }
+  const BucketCounters counters{freq.data(), count.data(), kBuckets};
+  for (const size_t size : {size_t{0}, size_t{1}, size_t{2}, kLanes - 1,
+                            kLanes, kLanes + 1, size_t{3150}}) {
+    for (const bool extremes : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "size " << size << ", extremes " << extremes);
+      const Columns columns = MakeColumns(size, extremes, 31 + size);
+      const std::vector<uint64_t>& ids = columns.ids;
+      const LearnedTable table(ids.data(), columns.buckets.data(),
+                               ids.size());
+      const auto lower_bound_find = [&](uint64_t id) {
+        const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+        return it != ids.end() && *it == id
+                   ? columns.buckets[static_cast<size_t>(it - ids.begin())]
+                   : -1;
+      };
+      // Without the extremes, 0, 1, UINT64_MAX - 1 and UINT64_MAX fall
+      // below and above the stored range.
+      const std::vector<uint64_t> probes = Queries(columns, 9 + size);
+      for (const uint64_t id : probes) {
+        ASSERT_EQ(table.Find(id), lower_bound_find(id)) << id;
+      }
+      // Every remainder mod kLanes after a whole block of lanes, and the
+      // full probe list.
+      std::vector<size_t> lengths = {probes.size()};
+      for (size_t r = 0; r < kLanes; ++r) lengths.push_back(kLanes + r);
+      for (const size_t length : lengths) {
+        const Span<const uint64_t> block(probes.data(), length);
+        std::vector<int32_t> found(length, -2);
+        table.FindBatch(block, Span<int32_t>(found.data(), length));
+        for (size_t i = 0; i < length; ++i) {
+          ASSERT_EQ(found[i], lower_bound_find(probes[i]))
+              << "length " << length << ", probe " << probes[i];
+        }
+        for (const int32_t miss_bucket : {-1, 4}) {
+          std::vector<double> out(length, -1.0);
+          EstimateStoredIds(table, counters, miss_bucket, block,
+                            Span<double>(out.data(), length));
+          for (size_t i = 0; i < length; ++i) {
+            const int32_t bucket = lower_bound_find(probes[i]);
+            ASSERT_EQ(out[i],
+                      counters.Average(bucket >= 0 ? bucket : miss_bucket))
+                << "length " << length << ", miss bucket " << miss_bucket
+                << ", probe " << probes[i];
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "common/span.h"
 #include "core/baseline_estimators.h"
 #include "core/opt_hash_estimator.h"
+#include "io/model_io.h"
 #include "server/protocol.h"
 #include "server/served_model.h"
 #include "sketch/count_min_sketch.h"
@@ -224,6 +225,41 @@ TEST(QueryAllocTest, ServedSketchIngestIsAllocationFreeWhenWarm) {
     });
     EXPECT_EQ(allocations, 0u) << kind;
   }
+}
+
+// The served ingest of a fully loaded bundle allocates a fixed few blocks
+// per call, whatever its length: the workers' bucket delta arrays (one
+// array), the ingest engine's replica list and its worker callable. The
+// bound is the count when the whole block ran under the writer lock;
+// counting before the lock must not raise it.
+TEST(QueryAllocTest, ServedBundleIngestAllocationsStayBoundedWhenWarm) {
+  constexpr size_t kBoundPerIngest = 3;
+  io::ModelBundle bundle;
+  bundle.featurizer = stream::BagOfWordsFeaturizer(8);
+  bundle.featurizer.Fit({{"alpha beta", 3.0}});
+  bundle.estimator = TrainSmall(ClassifierKind::kNone);
+  const std::string path =
+      ::testing::TempDir() + "/query_alloc_served_bundle.bin";
+  ASSERT_TRUE(
+      io::SaveModelBundle(path, bundle, io::SnapshotFormat::kBinary).ok());
+  auto opened = server::OpenServedModel(path, /*use_mmap=*/false);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  server::ServedModel& model = *opened.value().model;
+
+  Rng rng(23);
+  std::vector<uint64_t> block(4096);
+  for (auto& key : block) key = 90 + rng.NextBounded(60);
+  const Span<const uint64_t> keys(block.data(), block.size());
+  const stream::ShardedIngestConfig one_thread;
+  std::shared_mutex writer;
+  ASSERT_TRUE(model.Ingest(keys, one_thread, writer).ok());  // Warm-up.
+  constexpr size_t kIngests = 20;
+  const size_t allocations = AllocationsIn([&] {
+    for (size_t i = 0; i < kIngests; ++i) {
+      OPTHASH_CHECK(model.Ingest(keys, one_thread, writer).ok());
+    }
+  });
+  EXPECT_LE(allocations, kIngests * kBoundPerIngest);
 }
 
 // The wire codec of every query round trip: once the frame and array

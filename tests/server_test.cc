@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -76,9 +80,11 @@ std::unique_ptr<ServedModel> FreshCms(size_t width = 512, size_t depth = 4,
 class RunningServer {
  public:
   explicit RunningServer(std::unique_ptr<ServedModel> model,
-                         RotationConfig rotation = {}) {
+                         RotationConfig rotation = {},
+                         stream::ShardedIngestConfig ingest = {}) {
     config_.socket_path = FreshSocketPath();
     config_.rotation = std::move(rotation);
+    config_.ingest = ingest;
     server_ = std::make_unique<Server>(config_, std::move(model));
   }
 
@@ -160,13 +166,11 @@ TEST(ServerTest, ServedAnswersMatchOfflineSketchExactly) {
   EXPECT_GT(stats.value().query_p99_micros, 0.0);
 }
 
-TEST(ServerTest, ServedBundleMatchesOfflineEstimator) {
-  // Train a small bundle, serve it, and require byte-identical answers to
-  // the in-process estimator queried the way the daemon queries it
-  // (key-only = blank-text records through BundleQueryEngine).
-  // Built exactly like the train verb: prefix features come from the
-  // bundle's own featurizer, so classifier and featurizer dimensions
-  // agree (what every real bundle guarantees).
+// A small bundle over 150 prefix ids (100..249), built exactly like the
+// train verb: prefix features come from the bundle's own featurizer, so
+// classifier and featurizer dimensions agree (what every real bundle
+// guarantees).
+io::ModelBundle SmallBundle(core::ClassifierKind classifier) {
   io::ModelBundle bundle;
   bundle.featurizer = stream::BagOfWordsFeaturizer(32);
   std::vector<std::pair<std::string, double>> corpus;
@@ -179,7 +183,8 @@ TEST(ServerTest, ServedBundleMatchesOfflineEstimator) {
   config.total_buckets = 200;
   config.id_ratio = 0.5;
   config.solver = core::SolverKind::kDp;
-  config.classifier = core::ClassifierKind::kCart;
+  config.classifier = classifier;
+  config.rf.num_trees = 10;
   std::vector<core::PrefixElement> prefix;
   for (size_t i = 0; i < 150; ++i) {
     prefix.push_back({.id = 100 + i,
@@ -188,8 +193,16 @@ TEST(ServerTest, ServedBundleMatchesOfflineEstimator) {
                           corpus[i].first)});
   }
   auto trained = core::OptHashEstimator::Train(config, prefix);
-  ASSERT_TRUE(trained.ok());
+  OPTHASH_CHECK(trained.ok());
   bundle.estimator = std::move(trained).value();
+  return bundle;
+}
+
+TEST(ServerTest, ServedBundleMatchesOfflineEstimator) {
+  // Train a small bundle, serve it, and require byte-identical answers to
+  // the in-process estimator queried the way the daemon queries it
+  // (key-only = blank-text records through BundleQueryEngine).
+  const io::ModelBundle bundle = SmallBundle(core::ClassifierKind::kCart);
 
   const std::string path = ::testing::TempDir() + "/served_bundle.bin";
   ASSERT_TRUE(
@@ -226,30 +239,7 @@ class ServedBundleBlankPayload
     : public ::testing::TestWithParam<core::ClassifierKind> {};
 
 TEST_P(ServedBundleBlankPayload, KeyOnlyAnswersMatchScalarBlankQuery) {
-  io::ModelBundle bundle;
-  bundle.featurizer = stream::BagOfWordsFeaturizer(32);
-  std::vector<std::pair<std::string, double>> corpus;
-  for (size_t i = 0; i < 150; ++i) {
-    corpus.push_back({"item word" + std::to_string(i % 11),
-                      (i % 7 == 0) ? 90.0 + i : 2.0});
-  }
-  bundle.featurizer.Fit(corpus);
-  core::OptHashConfig config;
-  config.total_buckets = 200;
-  config.id_ratio = 0.5;
-  config.solver = core::SolverKind::kDp;
-  config.classifier = GetParam();
-  config.rf.num_trees = 10;
-  std::vector<core::PrefixElement> prefix;
-  for (size_t i = 0; i < 150; ++i) {
-    prefix.push_back({.id = 100 + i,
-                      .frequency = corpus[i].second,
-                      .features = bundle.featurizer.Featurize(
-                          corpus[i].first)});
-  }
-  auto trained = core::OptHashEstimator::Train(config, prefix);
-  ASSERT_TRUE(trained.ok());
-  bundle.estimator = std::move(trained).value();
+  const io::ModelBundle bundle = SmallBundle(GetParam());
 
   const std::string path = ::testing::TempDir() + "/served_blank_" +
                            core::ClassifierKindName(GetParam()) + ".bin";
@@ -895,6 +885,129 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + "_block" +
              std::to_string(std::get<1>(info.param));
     });
+
+// SmallBundle(kNone) saved as a binary bundle under the test's temp dir;
+// its path.
+std::string SaveSmallBundle(const std::string& stem) {
+  const std::string path = ::testing::TempDir() + "/" + stem + "_" +
+                           std::to_string(::getpid()) + ".bin";
+  EXPECT_TRUE(io::SaveModelBundle(path,
+                                  SmallBundle(core::ClassifierKind::kNone),
+                                  io::SnapshotFormat::kBinary)
+                  .ok());
+  return path;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// The bundle counterpart of IngestAtomicityUnderLoad: readers query a
+// stored id while a writer ingests it in fixed-size blocks. A bundle
+// counts a block with no lock held and folds every worker's deltas under
+// one hold of the writer lock, so every answer is the id's bucket average
+// after a whole number of blocks. Ingest blocks of 64 keys spread a
+// request over every worker, so at 4 threads a fold split by a reader
+// would show.
+class BundleIngestAtomicityUnderLoad
+    : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(BundleIngestAtomicityUnderLoad, ReadersSeeWholeBlocksOnly) {
+  const std::string path =
+      SaveSmallBundle("atomic_bundle_" + std::to_string(GetParam()));
+  auto bundle = io::LoadModelBundle(path);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  const core::OptHashEstimator& estimator = *bundle.value().estimator;
+  const uint64_t key = estimator.table().ids()[estimator.num_stored_ids() / 2];
+  const auto bucket = static_cast<size_t>(estimator.table().Find(key));
+  const double base = estimator.BucketFrequency(bucket);
+  const double count = estimator.BucketCount(bucket);
+  ASSERT_GT(count, 0.0);
+
+  auto opened = OpenServedModel(path, /*use_mmap=*/false);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  stream::ShardedIngestConfig ingest;
+  ingest.num_threads = GetParam();
+  ingest.block_size = 64;
+  RunningServer running(std::move(opened.value().model), {}, ingest);
+  ASSERT_TRUE(running.Start().ok());
+
+  constexpr size_t kBlockSize = 1000;
+  constexpr size_t kBlocks = 300;
+  const auto after_blocks = [&](double blocks) {
+    return (base + blocks * kBlockSize) / count;
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> answers{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      auto client = Client::Connect(running.socket());
+      ASSERT_TRUE(client.ok());
+      std::vector<double> out;
+      const std::vector<uint64_t> one_key = {key};
+      while (!stop.load()) {
+        ASSERT_TRUE(client.value().Query(one_key, out).ok());
+        const double blocks =
+            std::round((out[0] * count - base) / kBlockSize);
+        ASSERT_GE(blocks, 0.0);
+        ASSERT_LE(blocks, static_cast<double>(kBlocks));
+        ASSERT_EQ(out[0], after_blocks(blocks))
+            << "a query split an ingest block";
+        answers.fetch_add(1);
+      }
+    });
+  }
+  Client writer = running.MustConnect();
+  const std::vector<uint64_t> block(kBlockSize, key);
+  for (size_t i = 0; i < kBlocks; ++i) {
+    ASSERT_TRUE(writer.Ingest(block).ok());
+  }
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_GT(answers.load(), 0u);
+  std::vector<double> out;
+  const std::vector<uint64_t> one_key = {key};
+  ASSERT_TRUE(writer.Query(one_key, out).ok());
+  EXPECT_EQ(out[0], after_blocks(kBlocks));
+}
+
+INSTANTIATE_TEST_SUITE_P(ServerTest, BundleIngestAtomicityUnderLoad,
+                         ::testing::Values(size_t{1}, size_t{4}),
+                         [](const auto& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
+
+// A served bundle folds its workers' deltas in worker order, so ingesting
+// at one thread or at four leaves the same counters and writes the same
+// snapshot bytes.
+TEST(ServerTest, ServedBundleSnapshotIsTheSameAtOneAndFourThreads) {
+  const std::string path = SaveSmallBundle("threads_bundle");
+  // Stored ids (100..249) and misses alike.
+  Rng rng(29);
+  std::vector<uint64_t> keys(20000);
+  for (auto& key : keys) key = 50 + rng.NextBounded(250);
+  std::vector<std::string> snapshots;
+  for (const size_t threads : {1, 4}) {
+    auto opened = OpenServedModel(path, /*use_mmap=*/false);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ServedModel& model = *opened.value().model;
+    stream::ShardedIngestConfig config;
+    config.num_threads = threads;
+    config.block_size = 64;
+    for (size_t base = 0; base < keys.size(); base += 3000) {
+      const Span<const uint64_t> block(
+          keys.data() + base, std::min<size_t>(3000, keys.size() - base));
+      ASSERT_TRUE(model.Ingest(block, config).ok());
+    }
+    const std::string out = FreshDir("threads") + ".bin";
+    ASSERT_TRUE(model.SaveSnapshot(out).ok());
+    snapshots.push_back(FileBytes(out));
+  }
+  ASSERT_FALSE(snapshots[0].empty());
+  EXPECT_EQ(snapshots[0], snapshots[1]);
+}
 
 }  // namespace
 }  // namespace opthash::server

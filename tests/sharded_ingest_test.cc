@@ -326,6 +326,39 @@ TEST(OptHashShardedApplyTest, DeltaPathMatchesSequentialUpdates) {
   }
 }
 
+// A key-partitioned config hands every block to every worker; the
+// estimator's ingest must still count each arrival once.
+TEST(OptHashShardedApplyTest, KeyPartitionedConfigCountsEachArrivalOnce) {
+  std::vector<core::PrefixElement> prefix;
+  for (size_t i = 0; i < 20; ++i) {
+    prefix.push_back({.id = 100 + i,
+                      .frequency = 10.0 + static_cast<double>(i),
+                      .features = {1.0}});
+  }
+  core::OptHashConfig config;
+  config.total_buckets = 30;
+  config.solver = core::SolverKind::kDp;
+  config.classifier = core::ClassifierKind::kNone;
+  auto replicated = core::OptHashEstimator::Train(config, prefix);
+  auto partitioned = core::OptHashEstimator::Train(config, prefix);
+  ASSERT_TRUE(replicated.ok() && partitioned.ok());
+  std::vector<uint64_t> stream;
+  for (uint64_t t = 0; t < 1000; ++t) stream.push_back(90 + t % 40);
+  ASSERT_TRUE(replicated.value()
+                  .Ingest(Span<const uint64_t>(stream),
+                          Config(4, ShardMode::kReplicated, 64))
+                  .ok());
+  ASSERT_TRUE(partitioned.value()
+                  .Ingest(Span<const uint64_t>(stream),
+                          Config(4, ShardMode::kKeyPartitioned, 64))
+                  .ok());
+  for (size_t j = 0; j < replicated.value().num_buckets(); ++j) {
+    EXPECT_EQ(partitioned.value().BucketFrequency(j),
+              replicated.value().BucketFrequency(j))
+        << "bucket " << j;
+  }
+}
+
 TEST(OptHashShardedApplyTest, ApplyBucketDeltasRejectsWrongSize) {
   std::vector<core::PrefixElement> prefix;
   for (size_t i = 0; i < 10; ++i) {
